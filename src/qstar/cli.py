@@ -9,7 +9,6 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import algebra, cubes, expansion, oracle, tables, words
@@ -115,11 +114,7 @@ def cmd_star(args) -> int:
         for path in paths
     ]
     if len(results) == 2:
-        canon = [
-            sorted((t.hbar, t.scalar, t.slots) for t in r.terms())
-            for r in results
-        ]
-        if canon[0] != canon[1]:
+        if results[0].canonical() != results[1].canonical():
             print("error: enumerate and lift paths disagree", file=sys.stderr)
             return EXIT_PATH_MISMATCH
     _emit(expansion.render(results[0], args.format), args.output)
@@ -224,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstar",
         description="Exact star products of elementary multisymmetric functions",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("QSTAR_THREADS", "1")),
-        help="worker hint; results are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

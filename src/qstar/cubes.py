@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from math import ceil
 
 from .algebra import b_length
-from .tables import MarginMatrix, _check_margins, enumerate_L, weight
+from .tables import (
+    MarginMatrix,
+    _check_margins,
+    enumerate_L,
+    level_stacks,
+    weight,
+)
 
 
 def _zero_level(a: int, b: int) -> tuple:
@@ -104,7 +110,9 @@ def support_level(gamma: CubicalMatrix) -> int:
 def _level_splits(total: int, top: int, budget: int):
     """Compositions of `total` into levels 0..top with weight at most budget.
 
-    Yields (counts, weight) with counts a tuple of length top + 1.
+    Yields (counts, weight) with counts a tuple of length top + 1.  Only
+    lift uses it: the lift route places levels independently of
+    tables.level_stacks so that the two can check each other.
     """
     counts = [0] * (top + 1)
 
@@ -127,58 +135,18 @@ def _level_splits(total: int, top: int, budget: int):
 
 
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
-    """All cubical matrices in Q(alpha, beta, n, m), by direct backtracking.
+    """All cubical matrices in Q(alpha, beta, n, m), in to_vector order.
 
-    This is the raw enumerator; lift_all builds the same set through the
-    classical matrices and is kept as an independent route.
+    The level stacks with every cap at m and weight exactly m.
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    _check_margins(alpha, beta, n)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    a, b = len(alpha), len(beta)
-    cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    top = m  # a unit at level k contributes k to the weight
-    out = []
-    ra = list(alpha)
-    rb = list(beta)
-    chosen = {}
-
-    def rec(idx: int, wrem: int):
-        if idx == len(cells):
-            if wrem != 0:
-                return
-            total = sum(ra) + sum(rb) + sum(
-                sum(c) for c in chosen.values()
-            )
-            if total > n:
-                return
-            levels = []
-            for k in range(top + 1):
-                rows = [[0] * (b + 1) for _ in range(a + 1)]
-                if k == 0:
-                    for i in range(1, a + 1):
-                        rows[i][0] = ra[i - 1]
-                    for j in range(1, b + 1):
-                        rows[0][j] = rb[j - 1]
-                for (i, j), counts in chosen.items():
-                    rows[i][j] = counts[k]
-                levels.append(tuple(tuple(r) for r in rows))
-            out.append(CubicalMatrix(tuple(levels)))
-            return
-        i, j = cells[idx]
-        for t in range(min(ra[i - 1], rb[j - 1]) + 1):
-            ra[i - 1] -= t
-            rb[j - 1] -= t
-            for counts, w in _level_splits(t, top, wrem):
-                chosen[(i, j)] = counts
-                rec(idx + 1, wrem - w)
-            chosen.pop((i, j), None)
-            ra[i - 1] += t
-            rb[j - 1] += t
-
-    rec(0, m)
+    out = [
+        CubicalMatrix(levels)
+        for levels in level_stacks(
+            alpha, beta, n, lambda i, j: m, m, exact=True
+        )
+    ]
     out.sort(key=lambda g: to_vector(g, levels=m + 1))
     return out
 
@@ -188,7 +156,8 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
 
     Redistributes each interior entry into levels 0..s; the boundary stays
     at level 0.  Empty when no redistribution has weight m with level s
-    occupied.
+    occupied.  An independent cross-check route: it does not call
+    tables.level_stacks.
     """
     if s > m:
         raise ValueError("support level cannot exceed the weight")
@@ -237,7 +206,12 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
 
 
 def lift_all(alpha, beta, n, m) -> list[CubicalMatrix]:
-    """Q(alpha, beta, n, m) built by lifting every classical matrix."""
+    """Q(alpha, beta, n, m) built by lifting every classical matrix.
+
+    The cross-check route for enumerate_Q: the classical matrices come from
+    enumerate_L, but their levels are placed by lift, not by
+    tables.level_stacks; L itself is checked against words.enumerate_A.
+    """
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
@@ -268,14 +242,14 @@ def contributing_support(p, q) -> int:
 
 
 def max_order(alpha, beta, n, s_bound: int) -> int:
-    """Largest h power M with contributing terms, given the support bound."""
-    if s_bound == 0:
-        return 0
-    best = max(
-        (g.interior_sum() for g in enumerate_L(alpha, beta, n)),
-        default=0,
-    )
-    return s_bound * best
+    """Largest h power M with contributing terms, given the support bound.
+
+    The largest interior sum over L is the transportation max flow
+    min(|alpha|, |beta|); the matrix reaching it has total
+    max(|alpha|, |beta|) <= n, so it lies in L.
+    """
+    _check_margins(alpha, beta, n)
+    return s_bound * min(weight(alpha), weight(beta))
 
 
 def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
@@ -336,7 +310,6 @@ def from_vector(vec, layout: str = "by-level", shape=None,
     if layout == "by-level":
         if len(body) % (a * b) != 0:
             raise ValueError("vector length does not fit the shape")
-        nlevels = max(1, len(body) // (a * b))
         entries = {}
         pos = 0
         for k in range(len(body) // (a * b)):
@@ -347,7 +320,6 @@ def from_vector(vec, layout: str = "by-level", shape=None,
     elif layout == "by-pair":
         entries = {}
         pos = 0
-        nlevels = 1
         for i in range(1, a + 1):
             for j in range(1, b + 1):
                 kmax = btable.k_max(i, j)
@@ -355,8 +327,6 @@ def from_vector(vec, layout: str = "by-level", shape=None,
                     if pos >= len(body):
                         raise ValueError("vector too short for the BTable")
                     entries[(i, j, k)] = body[pos]
-                    if body[pos]:
-                        nlevels = max(nlevels, k + 1)
                     pos += 1
         if pos != len(body):
             raise ValueError("vector too long for the BTable")

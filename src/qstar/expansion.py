@@ -20,14 +20,8 @@ from .algebra import (
     monomial_key,
     render_monomial,
 )
-from .cubes import (
-    CubicalMatrix,
-    contributing_support,
-    enumerate_Q,
-    lift_all,
-    max_order,
-)
-from .tables import weight
+from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
+from .tables import level_stacks, weight
 
 
 def canonical_slots(slots) -> tuple:
@@ -76,6 +70,10 @@ class StarExpansion:
     def order_slice(self, m: int) -> list:
         return list(self.by_order.get(m, ()))
 
+    def canonical(self) -> list:
+        """Sorted (hbar, scalar, slots) triples, for comparing expansions."""
+        return sorted((t.hbar, t.scalar, t.slots) for t in self.terms())
+
 
 def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
     """One symbolic term per matrix, or None when the term vanishes."""
@@ -99,7 +97,13 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
 
 
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
-    """Full star product of e_alpha(p) and e_beta(q), truncated at S and M."""
+    """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
+
+    The enumerate path makes one pass over the level stacks with the cap of
+    cell (i, j) at K_ij and weight at most M, so every matrix contributes;
+    the lift path lifts the classical matrices for each m and drops the
+    vanishing terms.
+    """
     alpha = tuple(alpha)
     beta = tuple(beta)
     p = tuple(p)
@@ -113,19 +117,22 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     btable = build_B(p, q)
     s_bound = contributing_support(p, q)
     m_bound = max_order(alpha, beta, n, s_bound)
-    enum = enumerate_Q if path == "enumerate" else lift_all
+    if path == "enumerate":
+        gammas = (
+            CubicalMatrix(levels)
+            for levels in level_stacks(alpha, beta, n, btable.k_max, m_bound)
+        )
+    else:
+        gammas = (
+            g for m in range(m_bound + 1) for g in lift_all(alpha, beta, n, m)
+        )
     by_order = {}
-    for m in range(m_bound + 1):
-        terms = []
-        for gamma in enum(alpha, beta, n, m):
-            if gamma.support_level() > s_bound:
-                continue
-            term = gamma_to_eterm(gamma, btable)
-            if term is not None:
-                terms.append(term)
+    for gamma in gammas:
+        term = gamma_to_eterm(gamma, btable)
+        if term is not None:
+            by_order.setdefault(term.hbar, []).append(term)
+    for terms in by_order.values():
         terms.sort(key=lambda t: (t.slots, t.scalar))
-        if terms:
-            by_order[m] = terms
     return StarExpansion(
         alpha, beta, p, q, n, s_bound, m_bound, by_order
     )

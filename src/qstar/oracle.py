@@ -255,12 +255,17 @@ def poisson(f: NPoly, g: NPoly) -> NPoly:
     return out
 
 
-def expand_expansion(expansion: StarExpansion, n: int) -> NPoly:
-    """Sum of all expanded terms of a star expansion."""
+def expand_terms(terms, n: int) -> NPoly:
+    """Sum of the expanded symbolic terms."""
     total = NPoly.zero(n)
-    for term in expansion.terms():
+    for term in terms:
         total = total + expand_eterm(term, n)
     return total
+
+
+def expand_expansion(expansion: StarExpansion, n: int) -> NPoly:
+    """Sum of all expanded terms of a star expansion."""
+    return expand_terms(expansion.terms(), n)
 
 
 @dataclass
@@ -289,13 +294,7 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
     details = []
     exp_enum = star_product(alpha, beta, p, q, n, path="enumerate")
     exp_lift = star_product(alpha, beta, p, q, n, path="lift")
-
-    def canon(exp):
-        return sorted(
-            (t.hbar, t.scalar, t.slots) for t in exp.terms()
-        )
-
-    paths_ok = canon(exp_enum) == canon(exp_lift)
+    paths_ok = exp_enum.canonical() == exp_lift.canonical()
     if not paths_ok:
         details.append("enumerate and lift paths produced different terms")
 
@@ -322,13 +321,8 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
             f"coefficient(s), e.g. {sorted(diff.terms.items())[:3]}"
         )
 
-    classical_terms = classical_product(alpha, p, beta, q, n)
-    classical_poly = NPoly.zero(n)
-    for t in classical_terms:
-        classical_poly = classical_poly + expand_eterm(t, n)
-    slice0 = NPoly.zero(n)
-    for t in expansion.order_slice(0):
-        slice0 = slice0 + expand_eterm(t, n)
+    classical_poly = expand_terms(classical_product(alpha, p, beta, q, n), n)
+    slice0 = expand_terms(expansion.order_slice(0), n)
     classical_ok = slice0 == classical_poly
     if not classical_ok:
         details.append("h^0 slice differs from the classical product")

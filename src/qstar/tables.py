@@ -10,6 +10,7 @@ classical product of elementary multisymmetric functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 
 def weight(multi_index) -> int:
@@ -69,46 +70,71 @@ def _check_margins(alpha, beta, n):
         raise ValueError("multi-index entries must be nonnegative")
 
 
-def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
-    """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
+def level_stacks(alpha, beta, n, caps, budget, exact=False):
+    """Level stacks Gamma^0..Gamma^s of the cubical matrices over L.
 
-    Backtracks over interior entries; the boundary row and column are the
-    margin residuals, so only the slack condition needs a final check.
+    Walks the interior cells (i, j) row-major; cell (i, j) takes t units,
+    t at most both residual margins, placed as a multiset of t levels drawn
+    from 0..min(caps(i, j), weight left).  A multiset is a bounded
+    combination, so no recursion grows with the caps.  The residual margins
+    form the level-0 boundary.  Yields, as tuples of row tuples, every
+    stack of total at most n and weight at most budget (exactly budget when
+    exact); caps is called with 1-based (i, j).
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
     a, b = len(alpha), len(beta)
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    out = []
-    interior = [[0] * (b + 1) for _ in range(a + 1)]
+    tops = [caps(i, j) for i, j in cells]
+    # total = |alpha| + |beta| - (interior units), so total <= n needs this
+    min_units = weight(alpha) + weight(beta) - n
     ra = list(alpha)
     rb = list(beta)
+    picks = [()] * len(cells)
 
-    def rec(idx: int):
+    def stack():
+        top = max((c[-1] for c in picks if c), default=0)
+        levels = [[[0] * (b + 1) for _ in range(a + 1)]
+                  for _ in range(top + 1)]
+        levels[0][0][1:] = rb
+        for i in range(1, a + 1):
+            levels[0][i][0] = ra[i - 1]
+        for (i, j), combo in zip(cells, picks):
+            for k in combo:
+                levels[k][i][j] += 1
+        return tuple(tuple(tuple(r) for r in lvl) for lvl in levels)
+
+    def walk(idx: int, wleft: int, units: int):
         if idx == len(cells):
-            # boundary entries are the residual margins
-            total = sum(ra) + sum(rb) + sum(
-                interior[i][j] for i, j in cells
-            )
-            if total > n:
-                return
-            rows = [tuple([0] + rb)]
-            for i in range(1, a + 1):
-                rows.append(tuple([ra[i - 1]] + interior[i][1:]))
-            out.append(MarginMatrix(tuple(rows)))
+            if units >= min_units and not (exact and wleft):
+                yield stack()
             return
         i, j = cells[idx]
-        for v in range(min(ra[i - 1], rb[j - 1]) + 1):
-            interior[i][j] = v
-            ra[i - 1] -= v
-            rb[j - 1] -= v
-            rec(idx + 1)
-            ra[i - 1] += v
-            rb[j - 1] += v
-            interior[i][j] = 0
+        choices = range(min(tops[idx], wleft) + 1)
+        for t in range(min(ra[i - 1], rb[j - 1]) + 1):
+            ra[i - 1] -= t
+            rb[j - 1] -= t
+            for combo in combinations_with_replacement(choices, t):
+                w = sum(combo)
+                if w <= wleft:
+                    picks[idx] = combo
+                    yield from walk(idx + 1, wleft - w, units + t)
+            ra[i - 1] += t
+            rb[j - 1] += t
 
-    rec(0)
+    yield from walk(0, budget, 0)
+
+
+def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
+    """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
+
+    The level stacks with every cap and the weight budget at 0.
+    """
+    out = [
+        MarginMatrix(levels[0])
+        for levels in level_stacks(alpha, beta, n, lambda i, j: 0, 0)
+    ]
     out.sort(key=lambda g: g.rows)
     return out
 

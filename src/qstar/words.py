@@ -117,6 +117,11 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
             raise ValueError(f"column {t} puts a positive level on the boundary")
     if shape is not None:
         a, b = shape
+        for t, (s, i, j) in enumerate(omega.columns, start=1):
+            if i > a + 1 or j > b + 1:
+                raise ValueError(
+                    f"column {t} ({s},{i},{j}) does not fit the shape {a},{b}"
+                )
     else:
         a = max((col[1] for col in omega.columns), default=1) - 1
         b = max((col[2] for col in omega.columns), default=1) - 1
@@ -146,8 +151,9 @@ def word_stats(omega: ThreeWord):
 def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     """Members of A(alpha, beta, n, m), generated as column multisets.
 
-    Independent of the matrix enumerators: runs over candidate column
-    values in lex order with residual type and weight budgets.
+    Independent of the matrix enumerators, so that it can cross-check
+    them: runs over candidate column values in lex order with residual
+    type and weight budgets and does not call tables.level_stacks.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)

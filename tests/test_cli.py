@@ -134,6 +134,15 @@ class TestWord:
         assert code == 2
         assert "invalid word" in err
 
+    def test_decode_index_outside_shape(self, capsys):
+        code, out, err = run(
+            capsys, "word", "decode", "(0,3,3)", "--shape", "1,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_worked_example(self, capsys):
@@ -154,6 +163,19 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+class TestParser:
+    def test_threads_environment_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSTAR_THREADS", "abc")
+        code, out, _ = run(capsys, "word", "stats", "(0,2,2)")
+        assert code == 0
+        assert out.strip() == "N=1 s=0 m=0 alpha=1 beta=1"
+
+    def test_threads_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "word", "stats", "(0,2,2)"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:

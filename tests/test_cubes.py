@@ -54,6 +54,12 @@ class TestEnumerateQ:
             assert (g.row_margin(1), g.row_margin(2)) == (1, 2)
             assert (g.col_margin(1), g.col_margin(2)) == (2, 1)
 
+    def test_deep_level_cap(self):
+        # the recursion depth of the enumerator does not grow with the cap
+        (g,) = enumerate_Q((1,), (1,), 1, 1500)
+        assert g.weight() == 1500
+        assert g.support_level() == 1500
+
 
 class TestSupportLevel:
     def test_classical_is_support_zero(self):
@@ -158,6 +164,17 @@ class TestBounds:
 
     def test_single_interior_cell(self):
         assert max_order((1,), (1,), 2, 1) == 1
+
+    def test_order_matches_largest_interior_sum(self):
+        for alpha, beta, n, s in combinatorial_grid():
+            reference = s * max(
+                g.interior_sum() for g in enumerate_L(alpha, beta, n)
+            )
+            assert max_order(alpha, beta, n, s) == reference
+
+    def test_order_checks_margins(self):
+        with pytest.raises(ValueError):
+            max_order((3,), (1,), 2, 1)
 
 
 class TestVectorCodec:

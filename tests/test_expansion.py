@@ -21,10 +21,6 @@ def mk(*levels):
     return CubicalMatrix(tuple(tuple(tuple(r) for r in lvl) for lvl in levels))
 
 
-def canon(exp):
-    return sorted((t.hbar, t.scalar, t.slots) for t in exp.terms())
-
-
 class TestGammaToETerm:
     def test_scaled_term(self):
         btable = build_B(WORKED[2], WORKED[3])
@@ -67,7 +63,7 @@ class TestGammaToETerm:
 class TestStarProduct:
     def test_noncommuting_pair(self):
         exp = star_product((1,), (1,), (Y,), (X,), 1)
-        assert canon(exp) == [
+        assert exp.canonical() == [
             (0, 1, ((1, Monomial2(1, 1)),)),
             (1, 1, ((1, Monomial2(0, 0)),)),
         ]
@@ -90,7 +86,7 @@ class TestStarProduct:
         ]:
             a = star_product(*spec, path="enumerate")
             b = star_product(*spec, path="lift")
-            assert canon(a) == canon(b)
+            assert a.canonical() == b.canonical()
 
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED
@@ -113,7 +109,7 @@ class TestStarProduct:
                 term = to_term(g, btable)
                 if term is not None:
                     raw.append((term.hbar, term.scalar, term.slots))
-        assert sorted(raw) == canon(exp)
+        assert sorted(raw) == exp.canonical()
 
     def test_margin_error(self):
         with pytest.raises(ValueError):

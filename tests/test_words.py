@@ -96,6 +96,14 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode(ThreeWord(((1, 1, 2),)))
 
+    @pytest.mark.parametrize("word", [
+        ThreeWord(((0, 3, 3),)), ThreeWord(((0, 1, 3),)),
+        ThreeWord(((0, 3, 1),)),
+    ])
+    def test_decode_rejects_index_outside_shape(self, word):
+        with pytest.raises(ValueError):
+            decode(word, shape=(1, 1))
+
     def test_round_trip_worked_example(self):
         for m in range(3):
             for g in enumerate_Q((1, 1), (2, 1), 4, m):
