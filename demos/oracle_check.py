@@ -9,12 +9,11 @@ must agree coefficient for coefficient.
 
 from qstar import (
     expand_elementary,
-    expand_eterm,
+    expand_terms,
     moyal,
     parse_monomial,
     star_product,
     verify,
-    NPoly,
 )
 
 alpha = (1, 1)
@@ -24,9 +23,7 @@ q = tuple(parse_monomial(s).mono for s in ("x^3", "x^2y^2"))
 n = 4
 
 exp = star_product(alpha, beta, p, q, n)
-combinatorial = NPoly.zero(n)
-for term in exp.terms():
-    combinatorial = combinatorial + expand_eterm(term, n)
+combinatorial = expand_terms(exp.terms(), n)
 
 brute = moyal(expand_elementary(alpha, p, n), expand_elementary(beta, q, n))
 

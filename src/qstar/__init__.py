@@ -29,6 +29,7 @@ from .oracle import (
     NPoly,
     expand_elementary,
     expand_eterm,
+    expand_terms,
     moyal,
     poisson,
     verify,

@@ -315,6 +315,10 @@ def from_vector(vec, layout: str = "by-level", shape=None,
         if shape is None:
             raise ValueError("by-level layout requires shape=(a, b)")
         a, b = shape
+        if a < 1 or b < 1:
+            raise ValueError("shape entries must be positive")
+    if len(vec) < a + b:
+        raise ValueError("vector shorter than its a+b boundary")
     boundary = vec[: a + b]
     body = vec[a + b:]
     if layout == "by-level":

@@ -155,7 +155,11 @@ def _render_eterm(term: ETerm) -> str:
 
 
 def render(expansion: StarExpansion, fmt: str = "text") -> str:
-    """Deterministic serialization; text mirrors e_(...)(...) h^m notation."""
+    """Deterministic serialization; text mirrors e_(...)(...) h^m notation.
+
+    JSON "bounds.S" is the sharp contributing_support the expansion was
+    truncated at, not the paper's length-based max_support.
+    """
     if fmt == "text":
         return " + ".join(_render_eterm(t) for t in expansion.terms())
     if fmt == "json":

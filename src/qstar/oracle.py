@@ -9,10 +9,10 @@ star-product identity is verified coefficient for coefficient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from math import factorial, perm
+from dataclasses import dataclass, replace
+from itertools import chain, product
+from math import comb, perm
+from operator import add, sub
 
 from .algebra import Monomial2
 from .expansion import ETerm, StarExpansion, star_product
@@ -22,18 +22,15 @@ from .tables import classical_product, weight
 class NPoly:
     """Exact polynomial over n copies of (x, y) plus the formal h.
 
-    Exponent keys are tuples (ex_1..ex_n, ey_1..ey_n, eh); coefficients are
-    Fractions and zero coefficients are never stored.
+    Exponent keys are tuples (ex_1..ex_n, ey_1..ey_n, eh).  Coefficients
+    keep the exact type they were given: ints from the engine, Fractions
+    where a caller passes them.  The constructor is the one place that
+    drops zero coefficients, so none is ever stored.
     """
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, n: int) -> "NPoly":
@@ -42,7 +39,7 @@ class NPoly:
     @classmethod
     def constant(cls, n: int, c) -> "NPoly":
         key = (0,) * (2 * n + 1)
-        return cls(n, {key: Fraction(c)})
+        return cls(n, {key: c})
 
     @classmethod
     def from_monomial(cls, mono: Monomial2, copy: int, n: int) -> "NPoly":
@@ -50,7 +47,7 @@ class NPoly:
         key = [0] * (2 * n + 1)
         key[copy - 1] = mono.x
         key[n + copy - 1] = mono.y
-        return cls(n, {tuple(key): Fraction(1)})
+        return cls(n, {tuple(key): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -65,36 +62,25 @@ class NPoly:
     def __add__(self, other: "NPoly") -> "NPoly":
         if self.n != other.n:
             raise ValueError("mismatched number of copies")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
-        return NPoly(self.n, out)
+        return _accumulate(
+            self.n, chain(self.terms.items(), other.terms.items())
+        )
 
     def __sub__(self, other: "NPoly") -> "NPoly":
         return self + (other * -1)
 
     def __mul__(self, other):
         if not isinstance(other, NPoly):
-            c = Fraction(other)
             return NPoly(
-                self.n, {k: v * c for k, v in self.terms.items()}
+                self.n, {k: v * other for k, v in self.terms.items()}
             )
         if self.n != other.n:
             raise ValueError("mismatched number of copies")
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                c = out.get(key, 0) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return NPoly(self.n, out)
+        return _accumulate(self.n, (
+            (tuple(map(add, k1, k2)), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -106,14 +92,10 @@ class NPoly:
 
     def hbar_coefficient(self, k: int) -> "NPoly":
         """Coefficient of h^k, as an h-free polynomial."""
-        out = {}
-        for key, c in self.terms.items():
-            if key[-1] == k:
-                out[key[:-1] + (0,)] = c
-        return NPoly(self.n, out)
-
-    def max_hbar(self) -> int:
-        return max((key[-1] for key in self.terms), default=0)
+        return NPoly(self.n, {
+            key[:-1] + (0,): c for key, c in self.terms.items()
+            if key[-1] == k
+        })
 
     def has_hbar(self) -> bool:
         return any(key[-1] for key in self.terms)
@@ -137,6 +119,28 @@ class NPoly:
         return f"NPoly(n={self.n}, {len(self.terms)} terms)"
 
 
+def _accumulate(n: int, pairs) -> NPoly:
+    """Sum (key, coefficient) pairs into one polynomial.
+
+    Every sparse sum of this module goes through here: the pairs are added
+    into one dict in a single pass, and NPoly drops the zeros.
+    """
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return NPoly(n, out)
+
+
+def _placed(poly: NPoly, mono: Monomial2, i: int):
+    """(key, coefficient) pairs of poly times mono at 0-based copy i."""
+    n = poly.n
+    for key, c in poly.terms.items():
+        key = list(key)
+        key[i] += mono.x
+        key[n + i] += mono.y
+        yield tuple(key), c
+
+
 def expand_elementary(alpha, p, n: int) -> NPoly:
     """Coefficient of t^alpha in prod_i (1 + sum_j p_j(i) t_j)."""
     alpha = tuple(alpha)
@@ -149,42 +153,33 @@ def expand_elementary(alpha, p, n: int) -> NPoly:
             stacklevel=2,
         )
         return NPoly.zero(n)
-    a = len(alpha)
-    zero_t = (0,) * a
-    # map t-degree -> {exponent key -> coeff}
-    acc = {zero_t: {(0,) * (2 * n + 1): Fraction(1)}}
-    for i in range(1, n + 1):
-        nxt = {}
-        for tdeg, terms in acc.items():
-            # skip the copy (the "1" in the factor)
-            dest = nxt.setdefault(tdeg, {})
-            for key, c in terms.items():
-                dest[key] = dest.get(key, 0) + c
-            for j in range(a):
-                if tdeg[j] >= alpha[j]:
-                    continue
-                ndeg = tdeg[:j] + (tdeg[j] + 1,) + tdeg[j + 1:]
-                dest = nxt.setdefault(ndeg, {})
-                for key, c in terms.items():
-                    nk = list(key)
-                    nk[i - 1] += p[j].x
-                    nk[n + i - 1] += p[j].y
-                    nk = tuple(nk)
-                    dest[nk] = dest.get(nk, 0) + c
-        acc = nxt
-    return NPoly(n, acc.get(alpha, {}))
+    # t-degree -> polynomial in the copies placed so far
+    acc = {(0,) * len(alpha): NPoly.constant(n, 1)}
+    for i in range(n):
+        parts = {}
+        for tdeg, poly in acc.items():
+            # copy i + 1 left out: the "1" in its factor
+            parts.setdefault(tdeg, []).append(poly.terms.items())
+            for j, mono in enumerate(p):
+                if tdeg[j] < alpha[j]:
+                    ndeg = tdeg[:j] + (tdeg[j] + 1,) + tdeg[j + 1:]
+                    parts.setdefault(ndeg, []).append(
+                        _placed(poly, mono, i)
+                    )
+        acc = {
+            tdeg: _accumulate(n, chain.from_iterable(streams))
+            for tdeg, streams in parts.items()
+        }
+    return acc.get(alpha, NPoly.zero(n))
 
 
 def expand_eterm(term: ETerm, n: int) -> NPoly:
-    """Expand one symbolic term, including its scalar and h power."""
-    mults = term.multiplicities()
-    if sum(mults) > n:
-        warnings.warn(
-            f"total multiplicity {sum(mults)} exceeds n={n}: zero polynomial",
-            stacklevel=2,
-        )
-        return NPoly.zero(n)
-    poly = expand_elementary(mults, term.arguments(), n)
+    """Expand one symbolic term, including its scalar and h power.
+
+    A term of total multiplicity above n expands to zero, with the warning
+    expand_elementary gives.
+    """
+    poly = expand_elementary(term.multiplicities(), term.arguments(), n)
     return (poly * term.scalar).shift_hbar(term.hbar)
 
 
@@ -198,33 +193,27 @@ def moyal(f: NPoly, g: NPoly) -> NPoly:
     if f.n != g.n:
         raise ValueError("mismatched number of copies")
     n = f.n
-    out = {}
-    for kf, cf in f.terms.items():
-        yexp = kf[n: 2 * n]
-        for kg, cg in g.terms.items():
-            xexp = kg[:n]
-            ranges = [
-                range(min(d, e) + 1) for d, e in zip(yexp, xexp)
-            ]
-            for kappa in product(*ranges):
-                coeff = cf * cg
-                for d, e, k in zip(yexp, xexp, kappa):
-                    if k:
-                        coeff *= Fraction(
-                            perm(d, k) * perm(e, k), factorial(k)
-                        )
-                key = list(kf)
-                for i in range(n):
-                    key[i] += kg[i] - kappa[i]
-                    key[n + i] += kg[n + i] - kappa[i]
-                key[-1] += kg[-1] + sum(kappa)
-                key = tuple(key)
-                c = out.get(key, 0) + coeff
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-    result = NPoly(n, out)
+
+    def pairs():
+        for kf, cf in f.terms.items():
+            yexp = kf[n: 2 * n]
+            for kg, cg in g.terms.items():
+                xexp = kg[:n]
+                base = tuple(map(add, kf, kg))
+                ranges = [
+                    range(min(d, e) + 1) for d, e in zip(yexp, xexp)
+                ]
+                for kappa in product(*ranges):
+                    # kernel perm(d, k) perm(e, k) / k! = C(d, k) perm(e, k)
+                    coeff = cf * cg
+                    for d, e, k in zip(yexp, xexp, kappa):
+                        if k:
+                            coeff *= comb(d, k) * perm(e, k)
+                    # x_i and y_i each lose kappa_i, h gains |kappa|
+                    shift = kappa * 2 + (-sum(kappa),)
+                    yield tuple(map(sub, base, shift)), coeff
+
+    result = _accumulate(n, pairs())
     if f.is_integral() and g.is_integral():
         assert result.is_integral(), "Moyal product lost integrality"
     return result
@@ -233,13 +222,12 @@ def moyal(f: NPoly, g: NPoly) -> NPoly:
 def _derivative(f: NPoly, var: str, copy: int) -> NPoly:
     n = f.n
     pos = copy - 1 if var == "x" else n + copy - 1
-    out = {}
-    for key, c in f.terms.items():
-        e = key[pos]
-        if e:
-            nk = key[:pos] + (e - 1,) + key[pos + 1:]
-            out[nk] = out.get(nk, 0) + c * e
-    return NPoly(n, out)
+    # lowering one exponent is injective on keys, so nothing merges
+    return NPoly(n, {
+        key[:pos] + (key[pos] - 1,) + key[pos + 1:]: c * key[pos]
+        for key, c in f.terms.items()
+        if key[pos]
+    })
 
 
 def poisson(f: NPoly, g: NPoly) -> NPoly:
@@ -256,11 +244,10 @@ def poisson(f: NPoly, g: NPoly) -> NPoly:
 
 
 def expand_terms(terms, n: int) -> NPoly:
-    """Sum of the expanded symbolic terms."""
-    total = NPoly.zero(n)
-    for term in terms:
-        total = total + expand_eterm(term, n)
-    return total
+    """Sum of the expanded symbolic terms, accumulated in one pass."""
+    return _accumulate(n, chain.from_iterable(
+        expand_eterm(term, n).terms.items() for term in terms
+    ))
 
 
 def expand_expansion(expansion: StarExpansion, n: int) -> NPoly:
@@ -300,14 +287,10 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
 
     expansion = exp_enum
     if drop_scalars:
-        expansion = StarExpansion(
-            alpha, beta, p, q, n,
-            exp_enum.s_bound, exp_enum.m_bound,
-            {
-                m: [ETerm(t.hbar, 1, t.slots, t.origin) for t in ts]
-                for m, ts in exp_enum.by_order.items()
-            },
-        )
+        expansion = replace(exp_enum, by_order={
+            m: [replace(t, scalar=1) for t in ts]
+            for m, ts in exp_enum.by_order.items()
+        })
 
     lhs = expand_expansion(expansion, n)
     rhs = moyal(
@@ -322,8 +305,7 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
         )
 
     classical_poly = expand_terms(classical_product(alpha, p, beta, q, n), n)
-    slice0 = expand_terms(expansion.order_slice(0), n)
-    classical_ok = slice0 == classical_poly
+    classical_ok = lhs.hbar_coefficient(0) == classical_poly
     if not classical_ok:
         details.append("h^0 slice differs from the classical product")
 

@@ -155,6 +155,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     them: runs over candidate column values in lex order with residual
     type and weight budgets and does not call tables.level_stacks.
     """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)

@@ -36,7 +36,7 @@ from qstar.expansion import gamma_to_eterm, star_product
 from qstar.oracle import (
     NPoly,
     expand_elementary,
-    expand_eterm,
+    expand_terms,
     moyal,
     poisson,
     verify,
@@ -136,9 +136,7 @@ def test_criterion_2_oracle_identity():
     checked = 0
     for alpha, beta, p, q, n in oracle_grid():
         exp = star_product(alpha, beta, p, q, n)
-        lhs = NPoly.zero(n)
-        for term in exp.terms():
-            lhs = lhs + expand_eterm(term, n)
+        lhs = expand_terms(exp.terms(), n)
         rhs = moyal(
             expand_elementary(alpha, p, n),
             expand_elementary(beta, q, n),
@@ -163,13 +161,9 @@ def test_criterion_3_classical_limit():
             (t.scalar, t.slots) for t in exp.order_slice(0)
         ) == sorted((t.scalar, t.slots) for t in classical)
         # expanded: exact polynomial equality
-        lhs = NPoly.zero(n)
-        for t in exp.order_slice(0):
-            lhs = lhs + expand_eterm(t, n)
-        rhs = NPoly.zero(n)
-        for t in classical:
-            rhs = rhs + expand_eterm(t, n)
-        assert lhs == rhs
+        assert expand_terms(exp.order_slice(0), n) == expand_terms(
+            classical, n
+        )
         checked += 1
     print(f"PASS criterion 3: classical limit on {checked} specs")
 
@@ -270,16 +264,14 @@ def test_criterion_4_combinatorial_propositions():
     m_paper = max_order(alpha, beta, n, s_paper)
     exp = star_product(alpha, beta, p, q, n)
     rhs = moyal(expand_elementary(alpha, p, n), expand_elementary(beta, q, n))
-    truncated = NPoly.zero(n)
-    full = NPoly.zero(n)
-    dropped = 0
-    for term in exp.terms():
-        expanded = expand_eterm(term, n)
-        full = full + expanded
-        if support_level(term.origin) <= s_paper and term.hbar <= m_paper:
-            truncated = truncated + expanded
-        else:
-            dropped += 1
+    terms = list(exp.terms())
+    kept = [
+        term for term in terms
+        if support_level(term.origin) <= s_paper and term.hbar <= m_paper
+    ]
+    truncated = expand_terms(kept, n)
+    full = expand_terms(terms, n)
+    dropped = len(terms) - len(kept)
     if (s_paper, contributing_support(p, q), dropped) != (1, 2, 2):
         failures.append((
             "pinned spec: (S, sharp bound, terms above S) != (1, 2, 2)",

@@ -100,6 +100,16 @@ class TestEnum:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["A", "Q"])
+    def test_negative_m(self, capsys, kind):
+        code, out, err = run(
+            capsys, "enum", kind, "--alpha", "1", "--beta", "1",
+            "--n", "1", "--m", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be nonnegative\n"
+
 
 class TestWord:
     def test_decode_example(self, capsys):
@@ -138,6 +148,17 @@ class TestWord:
         code, out, err = run(
             capsys, "word", "decode", "(0,3,3)", "--shape", "1,1",
         )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "vec,shape",
+        [("", "1,1"), ("1", "1,1"), ("1,2,3", "0,1")],
+    )
+    def test_encode_bad_vector_or_shape(self, capsys, vec, shape):
+        code, out, err = run(capsys, "word", "encode", vec, "--shape", shape)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

@@ -215,6 +215,15 @@ class TestVectorCodec:
         with pytest.raises(ValueError):
             from_vector((0, 0, 1, 0, 1), shape=(2, 2))
 
+    @pytest.mark.parametrize(
+        "vec,shape",
+        [((), (1, 1)), ((1,), (1, 1)), ((0, 0, 1), (2, 2)),
+         ((1, 2, 3), (0, 1)), ((1, 2, 3), (1, 0))],
+    )
+    def test_rejects_short_vector_or_nonpositive_shape(self, vec, shape):
+        with pytest.raises(ValueError):
+            from_vector(vec, shape=shape)
+
 
 class TestGridProperties:
     def test_partition_and_counting(self):

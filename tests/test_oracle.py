@@ -4,12 +4,15 @@ from itertools import permutations
 
 import pytest
 
+import qstar.oracle
+from conftest import WORKED
 from qstar.algebra import Monomial2, star_pair
-from qstar.expansion import ETerm
+from qstar.expansion import ETerm, star_product
 from qstar.oracle import (
     NPoly,
     expand_elementary,
     expand_eterm,
+    expand_terms,
     moyal,
     poisson,
     verify,
@@ -184,14 +187,42 @@ class TestVerify:
         assert report.ok
 
     def test_worked_example(self):
-        from conftest import WORKED
-
         report = verify(*WORKED)
         assert report.ok
 
     def test_drop_scalar_negative_control(self):
-        from conftest import WORKED
-
         report = verify(*WORKED, drop_scalars=True)
         assert not report.identity_ok
         assert report.details
+
+    def test_classical_negative_control(self, monkeypatch):
+        # the h^0 slice is read from the LHS, so a wrong reference must
+        # still fail the classical check while the identity holds
+        original = qstar.oracle.classical_product
+        monkeypatch.setattr(
+            qstar.oracle, "classical_product",
+            lambda *args: original(*args)[1:],
+        )
+        report = verify(*WORKED)
+        assert report.identity_ok
+        assert not report.classical_ok
+        assert "h^0 slice differs from the classical product" in report.details
+
+
+class TestWorkedExample:
+    def test_integer_coefficients(self):
+        alpha, beta, p, q, n = WORKED
+        f = expand_elementary(alpha, p, n)
+        g = expand_elementary(beta, q, n)
+        lhs = expand_terms(star_product(*WORKED).terms(), n)
+        for poly in (f, g, lhs, moyal(f, g)):
+            assert poly.terms
+            assert all(type(c) is int for c in poly.terms.values())
+
+    def test_expand_terms_matches_folded_sum(self):
+        n = WORKED[-1]
+        terms = list(star_product(*WORKED).terms())
+        folded = NPoly.zero(n)
+        for term in terms:
+            folded = folded + expand_eterm(term, n)
+        assert expand_terms(terms, n) == folded
