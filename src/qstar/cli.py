@@ -29,6 +29,13 @@ def _parse_multiindex(text: str) -> tuple:
     return values
 
 
+def _parse_shape(text: str) -> tuple:
+    shape = _parse_multiindex(text)
+    if len(shape) != 2:
+        raise ValueError(f"shape {text!r} needs two entries a,b")
+    return shape
+
+
 def _parse_monomials(text: str) -> tuple:
     out = []
     for part in text.split(","):
@@ -137,6 +144,8 @@ def cmd_enum(args) -> int:
             items = words.enumerate_A(alpha, beta, args.n, args.m)
             lines = [_render_word(w) for w in items]
         else:
+            if args.levels is not None and args.levels < 1:
+                raise ValueError("--levels must be at least 1")
             items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
             btable = None
             pad = None
@@ -148,12 +157,9 @@ def cmd_enum(args) -> int:
             if args.levels is not None:
                 pad = args.levels
             lines = [
-                ",".join(
-                    str(v)
-                    for v in cubes.to_vector(
-                        g, layout=args.layout, btable=btable, levels=pad
-                    )
-                )
+                ",".join(map(str, cubes.to_vector(
+                    g, layout=args.layout, btable=btable, levels=pad
+                )))
                 for g in items
             ]
     if args.count_only:
@@ -167,7 +173,7 @@ def cmd_word(args) -> int:
     if args.action == "encode":
         if args.shape is None:
             raise ValueError("encode requires --shape a,b")
-        a, b = _parse_multiindex(args.shape)
+        a, b = _parse_shape(args.shape)
         vec = (
             [int(v) for v in args.input.split(",")]
             if args.input.strip()
@@ -182,12 +188,10 @@ def cmd_word(args) -> int:
         print(f"error: invalid word: {bad}", file=sys.stderr)
         return EXIT_INPUT
     if args.action == "decode":
-        shape = None
-        if args.shape:
-            shape = tuple(_parse_multiindex(args.shape))
+        shape = _parse_shape(args.shape) if args.shape else None
         gamma = words.decode(omega, shape=shape)
         vec = cubes.to_vector(gamma, layout="by-level")
-        _emit(",".join(str(v) for v in vec), args.output)
+        _emit(",".join(map(str, vec)), args.output)
     else:  # stats
         n_cols, s, m, alpha, beta = words.word_stats(omega)
         _emit(
@@ -241,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--p", help="pads Q vectors to the support bound")
     p_enum.add_argument("--q")
-    p_enum.add_argument("--levels", type=int, help="pad Q vectors to this many levels")
+    p_enum.add_argument(
+        "--levels", type=int,
+        help="pad Q vectors to at least this many levels (never truncates)",
+    )
     p_enum.add_argument("--output")
     p_enum.set_defaults(func=cmd_enum)
 

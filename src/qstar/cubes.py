@@ -271,32 +271,30 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     boundary prefix, then per (i, j) the entries k = 0..K_ij aligned with
     the BTable flat order.
     """
-    a, b = gamma.a, gamma.b
-    vec = [gamma.entry(i, 0, 0) for i in range(1, a + 1)]
-    vec += [gamma.entry(0, j, 0) for j in range(1, b + 1)]
+    base = gamma.levels[0]
+    vec = [row[0] for row in base[1:]]
+    vec += base[0][1:]
     if layout == "by-level":
-        nlevels = len(gamma.levels)
-        if levels is not None:
-            nlevels = max(nlevels, levels)
-        for k in range(nlevels):
-            for i in range(1, a + 1):
-                for j in range(1, b + 1):
-                    vec.append(gamma.entry(i, j, k))
+        for lvl in gamma.levels:
+            for row in lvl[1:]:
+                vec += row[1:]
+        if levels is not None and levels > len(gamma.levels):
+            vec += [0] * ((levels - len(gamma.levels)) * gamma.a * gamma.b)
         return tuple(vec)
     if layout == "by-pair":
         if btable is None:
             raise ValueError("by-pair layout requires a BTable")
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
+        for i in range(1, gamma.a + 1):
+            for j in range(1, gamma.b + 1):
                 kmax = btable.k_max(i, j)
-                for k in range(len(gamma.levels)):
-                    if k > kmax and gamma.entry(i, j, k):
+                column = [lvl[i][j] for lvl in gamma.levels]
+                for k in range(kmax + 1, len(column)):
+                    if column[k]:
                         raise ValueError(
                             f"entry at level {k} exceeds K_{i}{j}={kmax}"
                         )
-                vec.extend(
-                    gamma.entry(i, j, k) for k in range(kmax + 1)
-                )
+                vec += column[: kmax + 1]
+                vec += [0] * (kmax + 1 - len(column))
         return tuple(vec)
     raise ValueError(f"unknown layout {layout!r}")
 
@@ -311,54 +309,50 @@ def from_vector(vec, layout: str = "by-level", shape=None,
         if btable is None:
             raise ValueError("by-pair layout requires a BTable")
         a, b = btable.a, btable.b
-    else:
+    elif layout == "by-level":
         if shape is None:
             raise ValueError("by-level layout requires shape=(a, b)")
         a, b = shape
         if a < 1 or b < 1:
             raise ValueError("shape entries must be positive")
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
     if len(vec) < a + b:
         raise ValueError("vector shorter than its a+b boundary")
-    boundary = vec[: a + b]
     body = vec[a + b:]
     if layout == "by-level":
         if len(body) % (a * b) != 0:
             raise ValueError("vector length does not fit the shape")
-        entries = {}
-        pos = 0
-        for k in range(len(body) // (a * b)):
-            for i in range(1, a + 1):
-                for j in range(1, b + 1):
-                    entries[(i, j, k)] = body[pos]
-                    pos += 1
-    elif layout == "by-pair":
-        entries = {}
-        pos = 0
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                kmax = btable.k_max(i, j)
-                for k in range(kmax + 1):
-                    if pos >= len(body):
-                        raise ValueError("vector too short for the BTable")
-                    entries[(i, j, k)] = body[pos]
-                    pos += 1
-        if pos != len(body):
-            raise ValueError("vector too long for the BTable")
+        # interiors[k][i - 1] is row i of level k without its column 0
+        interiors = [
+            [body[pos + r * b: pos + (r + 1) * b] for r in range(a)]
+            for pos in range(0, len(body), a * b)
+        ]
     else:
-        raise ValueError(f"unknown layout {layout!r}")
-    nlevels = max(
-        [1] + [k + 1 for (i, j, k), v in entries.items() if v]
-    )
+        kmaxes = [
+            btable.k_max(i, j) for i in range(1, a + 1) for j in range(1, b + 1)
+        ]
+        need = sum(k + 1 for k in kmaxes)
+        if len(body) < need:
+            raise ValueError("vector too short for the BTable")
+        if len(body) > need:
+            raise ValueError("vector too long for the BTable")
+        interiors = [[[0] * b for _ in range(a)]
+                     for _ in range(max(kmaxes) + 1)]
+        pos = 0
+        for cell, kmax in enumerate(kmaxes):
+            i, j = divmod(cell, b)
+            for k, v in enumerate(body[pos: pos + kmax + 1]):
+                interiors[k][i][j] = v
+            pos += kmax + 1
+    if not interiors:
+        interiors = [[(0,) * b] * a]
+    edge = vec[: a + b]  # level 0's column 0 (rows 1..a), then its row 0
     levels = []
-    for k in range(nlevels):
-        rows = [[0] * (b + 1) for _ in range(a + 1)]
-        if k == 0:
-            for i in range(1, a + 1):
-                rows[i][0] = boundary[i - 1]
-            for j in range(1, b + 1):
-                rows[0][j] = boundary[a + j - 1]
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                rows[i][j] = entries.get((i, j, k), 0)
-        levels.append(tuple(tuple(r) for r in rows))
+    for interior in interiors:
+        levels.append(
+            ((0,) + tuple(edge[a:]),)
+            + tuple((c,) + tuple(row) for c, row in zip(edge, interior))
+        )
+        edge = (0,) * (a + b)
     return CubicalMatrix(tuple(levels))

@@ -154,6 +154,11 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
     type and weight budgets and does not call tables.level_stacks.
+    Two cuts drop every branch that cannot complete.  Candidates come
+    in order of level s and the top level is m, so the rem columns left
+    must carry a weight in [s*rem, m*rem].  Boundary columns (row or
+    column value 1) exist only at level 0, so once s > 0 their residual
+    counts ti[1] and tj[1] must already be spent.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -175,8 +180,6 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
         ti = [0, n_cols - weight(alpha)] + list(alpha)  # ti[v]: row-2 value v
         tj = [0, n_cols - weight(beta)] + list(beta)
-        if ti[1] < 0 or tj[1] < 0:
-            continue
         cols = []
 
         def rec(idx: int, wrem: int, rem: int):
@@ -187,6 +190,10 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
             if idx == len(candidates):
                 return
             s, i, j = candidates[idx]
+            if not s * rem <= wrem <= m * rem:
+                return
+            if s > 0 and (ti[1] or tj[1]):
+                return
             cap = min(ti[i], tj[j], rem)
             if s > 0:
                 cap = min(cap, wrem // s)

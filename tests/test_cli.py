@@ -100,6 +100,22 @@ class TestEnum:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_levels_below_one(self, capsys, levels):
+        code, out, err = run(
+            capsys, "enum", "Q", "--alpha", "1", "--beta", "1",
+            "--n", "1", "--m", "1", "--levels", levels,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --levels must be at least 1\n"
+
+    def test_levels_pads_but_never_truncates(self, capsys):
+        flags = ["--alpha", "1", "--beta", "1", "--n", "1", "--m", "1"]
+        _, out1, _ = run(capsys, "enum", "Q", *flags, "--levels", "1")
+        _, out3, _ = run(capsys, "enum", "Q", *flags, "--levels", "3")
+        assert (out1, out3) == ("0,0,0,1\n", "0,0,0,1,0\n")
+
     @pytest.mark.parametrize("kind", ["A", "Q"])
     def test_negative_m(self, capsys, kind):
         code, out, err = run(
@@ -163,6 +179,17 @@ class TestWord:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("shape", ["1,1,1", "1"])
+    @pytest.mark.parametrize(
+        "action,word", [("encode", "1,2,3"), ("decode", "(0,2,2)")],
+    )
+    def test_shape_needs_two_entries(self, capsys, action, word, shape):
+        code, out, err = run(capsys, "word", action, word, "--shape", shape)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: shape '{shape}' needs two entries a,b\n"
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import WORKED, combinatorial_grid
 from qstar.algebra import Monomial2, build_B
@@ -25,6 +26,40 @@ Y = Monomial2(0, 1)
 
 def mk(*levels):
     return CubicalMatrix(tuple(tuple(tuple(r) for r in lvl) for lvl in levels))
+
+
+@st.composite
+def cubical_matrices(draw, a, b, top):
+    """Shape (a, b) matrices whose interior cell (i, j) uses levels
+    0..top(i, j); the boundary stays at level 0."""
+    levels = [
+        [[0] * (b + 1) for _ in range(a + 1)]
+        for _ in range(1 + max(top(i, j) for i in range(1, a + 1)
+                               for j in range(1, b + 1)))
+    ]
+    for i in range(a + 1):
+        for j in range(b + 1):
+            if (i, j) == (0, 0):
+                continue
+            for k in range(top(i, j) + 1 if i and j else 1):
+                levels[k][i][j] = draw(st.integers(0, 3))
+    return mk(*levels)
+
+
+@st.composite
+def shaped_matrices(draw):
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = draw(st.integers(0, 3))
+    return draw(cubical_matrices(a, b, lambda i, j: top))
+
+
+@st.composite
+def matrices_with_btable(draw):
+    monomials = st.builds(Monomial2, st.integers(0, 3), st.integers(0, 3))
+    p = draw(st.lists(monomials, min_size=1, max_size=3))
+    q = draw(st.lists(monomials, min_size=1, max_size=3))
+    btable = build_B(p, q)
+    return draw(cubical_matrices(len(p), len(q), btable.k_max)), btable
 
 
 SEC2_CLASSICAL = mk([[0, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -210,6 +245,23 @@ class TestVectorCodec:
                 if support_level(g) <= 1:
                     vec2 = to_vector(g, layout="by-pair", btable=btable)
                     assert from_vector(vec2, layout="by-pair", btable=btable) == g
+
+    @given(shaped_matrices(), st.integers(0, 3))
+    def test_by_level_round_trip(self, g, extra):
+        assert from_vector(to_vector(g), shape=(g.a, g.b)) == g
+        levels = len(g.levels) + extra
+        vec = to_vector(g, levels=levels)
+        assert len(vec) == g.a + g.b + levels * g.a * g.b
+        assert from_vector(vec, shape=(g.a, g.b)) == g
+        # padding never truncates
+        assert to_vector(g, levels=1) == to_vector(g)
+
+    @given(matrices_with_btable())
+    def test_by_pair_round_trip(self, case):
+        g, btable = case
+        vec = to_vector(g, layout="by-pair", btable=btable)
+        assert len(vec) == len(btable.flat_order)
+        assert from_vector(vec, layout="by-pair", btable=btable) == g
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import combinatorial_grid
 from qstar.cubes import CubicalMatrix, enumerate_Q, from_margin
-from qstar.tables import MarginMatrix
+from qstar.tables import MarginMatrix, weight
 from qstar.words import (
     ThreeWord,
     decode,
@@ -13,6 +14,63 @@ from qstar.words import (
     validate_word,
     word_stats,
 )
+
+
+def unpruned_enumerate_A(alpha, beta, n, m):
+    """enumerate_A before its feasibility cuts: the plain backtracker."""
+    a, b = len(alpha), len(beta)
+    candidates = sorted(
+        (s, i, j)
+        for s in range(m + 1)
+        for i in range(1, a + 2)
+        for j in range(1, b + 2)
+        if not (i == j == 1) and not (s > 0 and (i == 1 or j == 1))
+    )
+    out = []
+    for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
+        ti = [0, n_cols - weight(alpha)] + list(alpha)
+        tj = [0, n_cols - weight(beta)] + list(beta)
+        cols = []
+
+        def rec(idx, wrem, rem):
+            if rem == 0:
+                if wrem == 0:
+                    out.append(ThreeWord(tuple(cols)))
+                return
+            if idx == len(candidates):
+                return
+            s, i, j = candidates[idx]
+            cap = min(ti[i], tj[j], rem)
+            if s > 0:
+                cap = min(cap, wrem // s)
+            for c in range(cap + 1):
+                ti[i] -= c
+                tj[j] -= c
+                cols.extend([(s, i, j)] * c)
+                rec(idx + 1, wrem - s * c, rem - c)
+                del cols[len(cols) - c:]
+                ti[i] += c
+                tj[j] += c
+
+        rec(0, m, n_cols)
+    out.sort()
+    return out
+
+
+def three_entry_grid():
+    """Specs with a three-entry margin, n <= 6, m <= 4, plus the two
+    heaviest enum-A specs of the benchmark's enum-words workload."""
+    margins = [(1,), (2, 1), (1, 0, 1), (1, 1, 1)]
+    for alpha in margins:
+        for beta in margins:
+            if max(len(alpha), len(beta)) < 3:
+                continue
+            lo = max(weight(alpha), weight(beta))
+            for n in (lo, 6):
+                for m in range(5):
+                    yield alpha, beta, n, m
+    yield (1, 1, 1), (1, 1, 2), 6, 4
+    yield (2, 1, 1), (1, 1, 1), 5, 4
 
 
 def mk(*levels):
@@ -104,6 +162,15 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode(word, shape=(1, 1))
 
+    @given(st.sampled_from(list(combinatorial_grid(max_n=4, max_m=3))),
+           st.data())
+    def test_round_trip_over_Q(self, spec, data):
+        alpha, beta, n, m = spec
+        q_set = enumerate_Q(alpha, beta, n, m)
+        assume(q_set)
+        g = data.draw(st.sampled_from(q_set))
+        assert decode(encode(g), shape=(len(alpha), len(beta))) == g
+
     def test_round_trip_worked_example(self):
         for m in range(3):
             for g in enumerate_Q((1, 1), (2, 1), 4, m):
@@ -141,6 +208,14 @@ class TestEnumerateA:
 
     def test_contains_example(self):
         assert WORD_EXAMPLE in enumerate_A((2, 1), (1, 2), 3, 2)
+
+    def test_pruning_keeps_every_word_in_order(self):
+        for alpha, beta, n, m in three_entry_grid():
+            got = enumerate_A(alpha, beta, n, m)
+            assert got == unpruned_enumerate_A(alpha, beta, n, m)
+            assert set(got) == {
+                encode(g) for g in enumerate_Q(alpha, beta, n, m)
+            }
 
     def test_grid_bijection(self):
         for alpha, beta, n, m in combinatorial_grid(max_n=3, max_m=2):
