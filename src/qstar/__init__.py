@@ -5,7 +5,6 @@ from .algebra import (
     Monomial2,
     ScaledMonomial,
     b_length,
-    b_term,
     build_B,
     parse_monomial,
     render_monomial,

@@ -55,9 +55,6 @@ class ScaledMonomial:
         return self.coeff == 0
 
 
-ZERO = ScaledMonomial(0)
-
-
 def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
     """All h-graded terms of the monomial star product p * q.
 
@@ -71,14 +68,6 @@ def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
         mono = Monomial2(p.x + q.x - k, p.y + q.y - k)
         out.append((k, ScaledMonomial(coeff, mono)))
     return out
-
-
-def b_term(p: Monomial2, q: Monomial2, k: int) -> ScaledMonomial:
-    """The h^k coefficient of p * q; zero beyond k = min(p.y, q.x)."""
-    if k > min(p.y, q.x):
-        return ZERO
-    coeff = comb(p.y, k) * perm(q.x, k)
-    return ScaledMonomial(coeff, Monomial2(p.x + q.x - k, p.y + q.y - k))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import algebra, cubes, expansion, oracle, tables, words
 
@@ -46,6 +47,31 @@ def _parse_monomials(text: str) -> tuple:
             )
         out.append(sm.mono)
     return tuple(out)
+
+
+def _read_monomials(args, alpha, beta) -> tuple:
+    p = _parse_monomials(args.p)
+    q = _parse_monomials(args.q)
+    if len(p) != len(alpha) or len(q) != len(beta):
+        raise ValueError("monomial lists must match multi-index lengths")
+    return p, q
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-str digit limit of Python 3.11+ inside the block.
+
+    Star scalars grow without bound; parsing keeps the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_word(text: str) -> words.ThreeWord:
@@ -94,19 +120,13 @@ def _add_spec_args(parser, need_pq=True):
         parser.add_argument("--q", required=True)
 
 
-def _read_spec(args, need_pq=True):
+def _read_spec(args):
     alpha = _parse_multiindex(args.alpha)
     beta = _parse_multiindex(args.beta)
     spec = {"alpha": alpha, "beta": beta, "n": args.n}
     if tables.weight(alpha) > args.n or tables.weight(beta) > args.n:
         raise ValueError("margin weights exceed n")
-    if need_pq:
-        p = _parse_monomials(args.p)
-        q = _parse_monomials(args.q)
-        if len(p) != len(alpha) or len(q) != len(beta):
-            raise ValueError("monomial lists must match multi-index lengths")
-        spec["p"] = p
-        spec["q"] = q
+    spec["p"], spec["q"] = _read_monomials(args, alpha, beta)
     return spec
 
 
@@ -124,7 +144,9 @@ def cmd_star(args) -> int:
         if results[0].canonical() != results[1].canonical():
             print("error: enumerate and lift paths disagree", file=sys.stderr)
             return EXIT_PATH_MISMATCH
-    _emit(expansion.render(results[0], args.format), args.output)
+    with _unlimited_int_digits():
+        text = expansion.render(results[0], args.format)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -146,16 +168,17 @@ def cmd_enum(args) -> int:
         else:
             if args.levels is not None and args.levels < 1:
                 raise ValueError("--levels must be at least 1")
-            items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
+            if (args.p is None) != (args.q is None):
+                raise ValueError("--p and --q must be given together")
             btable = None
             pad = None
-            if args.p and args.q:
-                p = _parse_monomials(args.p)
-                q = _parse_monomials(args.q)
+            if args.p is not None:
+                p, q = _read_monomials(args, alpha, beta)
                 btable = algebra.build_B(p, q)
                 pad = cubes.contributing_support(p, q) + 1
             if args.levels is not None:
                 pad = args.levels
+            items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
             lines = [
                 ",".join(map(str, cubes.to_vector(
                     g, layout=args.layout, btable=btable, levels=pad

@@ -1,9 +1,10 @@
 """Cubical matrices: enumeration, support, smash, lifting and vector codecs.
 
-A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels.  Level 0
-may use the boundary row and column; higher levels are interior-only.  The
-weight sum_{i,j,k} k * Gamma^k_ij is the power of h a term contributes, and
-the levelwise sum (smash) lands back in the classical set L.
+A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels, held as
+its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
+column; higher levels are interior-only.  The weight sum_{i,j,k} k *
+Gamma^k_ij is the power of h a term contributes, and the levelwise sum
+(smash) lands back in the classical set L.
 """
 
 from __future__ import annotations
@@ -21,82 +22,64 @@ from .tables import (
 )
 
 
-def _zero_level(a: int, b: int) -> tuple:
-    return tuple(tuple(0 for _ in range(b + 1)) for _ in range(a + 1))
-
-
-def _is_zero_level(level) -> bool:
-    return all(v == 0 for row in level for v in row)
-
-
 @dataclass(frozen=True, order=True)
 class CubicalMatrix:
-    """Levels Gamma^0..Gamma^s; trailing all-zero levels are trimmed."""
+    """A cubical matrix of shape (a, b), stored as its nonzero runs.
 
-    levels: tuple
+    entries holds (k, i, j, v) runs: v units at level k of cell (i, j),
+    with 0-based i and j, so row 0 and column 0 are the boundary.  In
+    lexicographic order the runs are the matrix's 3-word in run-length
+    form.  Invariant, kept here and nowhere else: a >= 1, b >= 1, and the
+    runs are sorted with no v = 0, so equal matrices have equal entries.
+    Callers pass runs inside the shape, boundary runs at level 0 only.
+    """
+
+    a: int
+    b: int
+    entries: tuple = ()
 
     def __post_init__(self):
-        levels = list(self.levels)
-        while len(levels) > 1 and _is_zero_level(levels[-1]):
-            levels.pop()
-        object.__setattr__(self, "levels", tuple(levels))
+        if self.a < 1 or self.b < 1:
+            raise ValueError("shape entries must be positive")
+        runs = tuple(sorted(run for run in self.entries if run[3]))
+        object.__setattr__(self, "entries", runs)
 
-    @property
-    def a(self) -> int:
-        return len(self.levels[0]) - 1
-
-    @property
-    def b(self) -> int:
-        return len(self.levels[0][0]) - 1
-
-    def entry(self, i: int, j: int, k: int) -> int:
-        if k >= len(self.levels):
-            return 0
-        return self.levels[k][i][j]
+    @classmethod
+    def from_levels(cls, levels) -> CubicalMatrix:
+        """The matrix with dense levels Gamma^0..Gamma^s (row tuples)."""
+        return cls(len(levels[0]) - 1, len(levels[0][0]) - 1, tuple(
+            (k, i, j, v)
+            for k, lvl in enumerate(levels)
+            for i, row in enumerate(lvl)
+            for j, v in enumerate(row)
+        ))
 
     def size(self) -> int:
-        return sum(v for lvl in self.levels for row in lvl for v in row)
+        return sum(run[3] for run in self.entries)
 
     def weight(self) -> int:
-        return sum(
-            k * v
-            for k, lvl in enumerate(self.levels)
-            for row in lvl
-            for v in row
-        )
+        return sum(k * v for k, _, _, v in self.entries)
 
     def support_level(self) -> int:
         # 0 for the all-zero matrix (degenerate)
-        return len(self.levels) - 1
+        return self.entries[-1][0] if self.entries else 0
 
     def row_margin(self, i: int) -> int:
-        return sum(sum(lvl[i]) for lvl in self.levels)
+        return sum(v for _, ri, _, v in self.entries if ri == i)
 
     def col_margin(self, j: int) -> int:
-        return sum(row[j] for lvl in self.levels for row in lvl)
+        return sum(v for _, _, cj, v in self.entries if cj == j)
 
     def smash(self) -> MarginMatrix:
-        rows = tuple(
-            tuple(
-                sum(lvl[i][j] for lvl in self.levels)
-                for j in range(self.b + 1)
-            )
-            for i in range(self.a + 1)
-        )
-        return MarginMatrix(rows)
-
-    def nonzero_entries(self):
-        """Yield (i, j, k, value) over nonzero positions."""
-        for k, lvl in enumerate(self.levels):
-            for i, row in enumerate(lvl):
-                for j, v in enumerate(row):
-                    if v:
-                        yield i, j, k, v
+        rows = [[0] * (self.b + 1) for _ in range(self.a + 1)]
+        for _, i, j, v in self.entries:
+            rows[i][j] += v
+        return MarginMatrix(tuple(map(tuple, rows)))
 
 
 def from_margin(gamma: MarginMatrix) -> CubicalMatrix:
     """Embed a classical matrix as a single level-0 cubical matrix."""
-    return CubicalMatrix((gamma.rows,))
+    return CubicalMatrix.from_levels((gamma.rows,))
 
 
 def smash(gamma: CubicalMatrix) -> MarginMatrix:
@@ -141,9 +124,10 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    a, b = len(alpha), len(beta)
     out = [
-        CubicalMatrix(levels)
-        for levels in level_stacks(
+        CubicalMatrix(a, b, runs)
+        for runs in level_stacks(
             alpha, beta, n, lambda i, j: m, m, exact=True
         )
     ]
@@ -168,6 +152,8 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
         for j in range(1, b + 1)
         if gamma[i, j]
     ]
+    edge = [(0, i, 0, gamma[i, 0]) for i in range(1, a + 1)]
+    edge += [(0, 0, j, gamma[0, j]) for j in range(1, b + 1)]
     out = []
     chosen = {}
 
@@ -177,18 +163,11 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
                 return
             if s > 0 and not any(c[s] for c in chosen.values()):
                 return
-            levels = []
-            for k in range(s + 1):
-                rows = [[0] * (b + 1) for _ in range(a + 1)]
-                if k == 0:
-                    for i in range(1, a + 1):
-                        rows[i][0] = gamma[i, 0]
-                    for j in range(1, b + 1):
-                        rows[0][j] = gamma[0, j]
-                for (i, j), counts in chosen.items():
-                    rows[i][j] = counts[k]
-                levels.append(tuple(tuple(r) for r in rows))
-            out.append(CubicalMatrix(tuple(levels)))
+            out.append(CubicalMatrix(a, b, edge + [
+                (k, i, j, c)
+                for (i, j), counts in chosen.items()
+                for k, c in enumerate(counts)
+            ]))
             return
         i, j = cells[idx]
         for counts, w in _level_splits(gamma[i, j], s, wrem):
@@ -269,34 +248,45 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     by-level: boundary (column 0 then row 0) followed by the interior of
     each level row-major; `levels` pads with zero levels.  by-pair: same
     boundary prefix, then per (i, j) the entries k = 0..K_ij aligned with
-    the BTable flat order.
+    the BTable flat order.  Each run is placed at its index.
     """
-    base = gamma.levels[0]
-    vec = [row[0] for row in base[1:]]
-    vec += base[0][1:]
+    a, b = gamma.a, gamma.b
     if layout == "by-level":
-        for lvl in gamma.levels:
-            for row in lvl[1:]:
-                vec += row[1:]
-        if levels is not None and levels > len(gamma.levels):
-            vec += [0] * ((levels - len(gamma.levels)) * gamma.a * gamma.b)
-        return tuple(vec)
-    if layout == "by-pair":
+        nlevels = max(gamma.support_level() + 1, levels or 1)
+        vec = [0] * (a + b + nlevels * a * b)
+
+        def index(k, i, j):
+            return a + b + (k * a + i - 1) * b + j - 1
+    elif layout == "by-pair":
         if btable is None:
             raise ValueError("by-pair layout requires a BTable")
-        for i in range(1, gamma.a + 1):
-            for j in range(1, gamma.b + 1):
-                kmax = btable.k_max(i, j)
-                column = [lvl[i][j] for lvl in gamma.levels]
-                for k in range(kmax + 1, len(column)):
-                    if column[k]:
-                        raise ValueError(
-                            f"entry at level {k} exceeds K_{i}{j}={kmax}"
-                        )
-                vec += column[: kmax + 1]
-                vec += [0] * (kmax + 1 - len(column))
-        return tuple(vec)
-    raise ValueError(f"unknown layout {layout!r}")
+        kmax = {
+            (i, j): btable.k_max(i, j)
+            for i in range(1, a + 1)
+            for j in range(1, b + 1)
+        }
+        over = [(i, j, k) for k, i, j, _ in gamma.entries
+                if i and j and k > kmax[i, j]]
+        if over:
+            i, j, k = min(over)
+            raise ValueError(f"entry at level {k} exceeds K_{i}{j}={kmax[i, j]}")
+        start = {}  # vector index of each pair's k = 0 entry
+        pos = a + b
+        for cell, top in kmax.items():
+            start[cell] = pos
+            pos += top + 1
+        vec = [0] * pos
+
+        def index(k, i, j):
+            return start[i, j] + k
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    for k, i, j, v in gamma.entries:
+        if i and j:
+            vec[index(k, i, j)] = v
+        else:
+            vec[i - 1 if i else a + j - 1] = v
+    return tuple(vec)
 
 
 def from_vector(vec, layout: str = "by-level", shape=None,
@@ -320,39 +310,22 @@ def from_vector(vec, layout: str = "by-level", shape=None,
     if len(vec) < a + b:
         raise ValueError("vector shorter than its a+b boundary")
     body = vec[a + b:]
+    cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
     if layout == "by-level":
         if len(body) % (a * b) != 0:
             raise ValueError("vector length does not fit the shape")
-        # interiors[k][i - 1] is row i of level k without its column 0
-        interiors = [
-            [body[pos + r * b: pos + (r + 1) * b] for r in range(a)]
-            for pos in range(0, len(body), a * b)
+        places = [
+            (k, i, j) for k in range(len(body) // (a * b)) for i, j in cells
         ]
     else:
-        kmaxes = [
-            btable.k_max(i, j) for i in range(1, a + 1) for j in range(1, b + 1)
+        places = [
+            (k, i, j) for i, j in cells for k in range(btable.k_max(i, j) + 1)
         ]
-        need = sum(k + 1 for k in kmaxes)
-        if len(body) < need:
+        if len(body) < len(places):
             raise ValueError("vector too short for the BTable")
-        if len(body) > need:
+        if len(body) > len(places):
             raise ValueError("vector too long for the BTable")
-        interiors = [[[0] * b for _ in range(a)]
-                     for _ in range(max(kmaxes) + 1)]
-        pos = 0
-        for cell, kmax in enumerate(kmaxes):
-            i, j = divmod(cell, b)
-            for k, v in enumerate(body[pos: pos + kmax + 1]):
-                interiors[k][i][j] = v
-            pos += kmax + 1
-    if not interiors:
-        interiors = [[(0,) * b] * a]
-    edge = vec[: a + b]  # level 0's column 0 (rows 1..a), then its row 0
-    levels = []
-    for interior in interiors:
-        levels.append(
-            ((0,) + tuple(edge[a:]),)
-            + tuple((c,) + tuple(row) for c, row in zip(edge, interior))
-        )
-        edge = (0,) * (a + b)
-    return CubicalMatrix(tuple(levels))
+    runs = [(0, i, 0, v) for i, v in enumerate(vec[:a], start=1)]
+    runs += [(0, 0, j, v) for j, v in enumerate(vec[a:a + b], start=1)]
+    runs += [place + (v,) for place, v in zip(places, body)]
+    return CubicalMatrix(a, b, runs)

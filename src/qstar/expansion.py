@@ -33,7 +33,10 @@ def canonical_slots(slots) -> tuple:
 
 @dataclass(frozen=True)
 class ETerm:
-    """scalar * e_(multiplicities)(monomials) * h^hbar."""
+    """scalar * e_(multiplicities)(monomials) * h^hbar.
+
+    origin is the matrix the term came from, O(nonzero entries) in size.
+    """
 
     hbar: int
     scalar: int
@@ -81,19 +84,20 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
         raise ValueError("matrix dimensions do not match the BTable")
     slots = []
     scalar = 1
-    for i, j, k, v in gamma.nonzero_entries():
+    hbar = 0
+    for k, i, j, v in gamma.entries:
         if i == 0:
             slots.append((v, btable.q_args[j - 1]))
-            continue
-        if j == 0:
+        elif j == 0:
             slots.append((v, btable.p_args[i - 1]))
-            continue
-        if k > btable.k_max(i, j):
+        elif k > btable.k_max(i, j):
             return None
-        entry = btable.star_entries[(i, j, k)]
-        scalar *= entry.coeff ** v
-        slots.append((v, entry.mono))
-    return ETerm(gamma.weight(), scalar, canonical_slots(slots), gamma)
+        else:
+            entry = btable.star_entries[(i, j, k)]
+            scalar *= entry.coeff ** v
+            slots.append((v, entry.mono))
+            hbar += k * v
+    return ETerm(hbar, scalar, canonical_slots(slots), gamma)
 
 
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
@@ -119,8 +123,8 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     m_bound = max_order(alpha, beta, n, s_bound)
     if path == "enumerate":
         gammas = (
-            CubicalMatrix(levels)
-            for levels in level_stacks(alpha, beta, n, btable.k_max, m_bound)
+            CubicalMatrix(len(alpha), len(beta), runs)
+            for runs in level_stacks(alpha, beta, n, btable.k_max, m_bound)
         )
     else:
         gammas = (

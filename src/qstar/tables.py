@@ -10,7 +10,7 @@ classical product of elementary multisymmetric functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
 
 
 def weight(multi_index) -> int:
@@ -77,9 +77,11 @@ def level_stacks(alpha, beta, n, caps, budget, exact=False):
     t at most both residual margins, placed as a multiset of t levels drawn
     from 0..min(caps(i, j), weight left).  A multiset is a bounded
     combination, so no recursion grows with the caps.  The residual margins
-    form the level-0 boundary.  Yields, as tuples of row tuples, every
-    stack of total at most n and weight at most budget (exactly budget when
-    exact); caps is called with 1-based (i, j).
+    form the level-0 boundary.  Yields every stack of total at most n and
+    weight at most budget (exactly budget when exact) as a list of
+    (k, i, j, v) runs, unsorted and possibly with v = 0 on the boundary,
+    which is the input CubicalMatrix takes; caps is called with 1-based
+    (i, j).
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -91,24 +93,15 @@ def level_stacks(alpha, beta, n, caps, budget, exact=False):
     min_units = weight(alpha) + weight(beta) - n
     ra = list(alpha)
     rb = list(beta)
-    picks = [()] * len(cells)
-
-    def stack():
-        top = max((c[-1] for c in picks if c), default=0)
-        levels = [[[0] * (b + 1) for _ in range(a + 1)]
-                  for _ in range(top + 1)]
-        levels[0][0][1:] = rb
-        for i in range(1, a + 1):
-            levels[0][i][0] = ra[i - 1]
-        for (i, j), combo in zip(cells, picks):
-            for k in combo:
-                levels[k][i][j] += 1
-        return tuple(tuple(tuple(r) for r in lvl) for lvl in levels)
+    picks = [()] * len(cells)  # the runs of each cell's level multiset
 
     def walk(idx: int, wleft: int, units: int):
         if idx == len(cells):
             if units >= min_units and not (exact and wleft):
-                yield stack()
+                runs = [(0, i, 0, v) for i, v in enumerate(ra, start=1)]
+                runs += [(0, 0, j, v) for j, v in enumerate(rb, start=1)]
+                runs += chain.from_iterable(picks)
+                yield runs
             return
         i, j = cells[idx]
         choices = range(min(tops[idx], wleft) + 1)
@@ -118,7 +111,10 @@ def level_stacks(alpha, beta, n, caps, budget, exact=False):
             for combo in combinations_with_replacement(choices, t):
                 w = sum(combo)
                 if w <= wleft:
-                    picks[idx] = combo
+                    picks[idx] = [
+                        (k, i, j, len(list(units_at_k)))
+                        for k, units_at_k in groupby(combo)
+                    ]
                     yield from walk(idx + 1, wleft - w, units + t)
             ra[i - 1] += t
             rb[j - 1] += t
@@ -131,10 +127,13 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
 
     The level stacks with every cap and the weight budget at 0.
     """
-    out = [
-        MarginMatrix(levels[0])
-        for levels in level_stacks(alpha, beta, n, lambda i, j: 0, 0)
-    ]
+    a, b = len(alpha), len(beta)
+    out = []
+    for runs in level_stacks(alpha, beta, n, lambda i, j: 0, 0):
+        rows = [[0] * (b + 1) for _ in range(a + 1)]
+        for _, i, j, v in runs:
+            rows[i][j] = v
+        out.append(MarginMatrix(tuple(map(tuple, rows))))
     out.sort(key=lambda g: g.rows)
     return out
 

@@ -9,6 +9,7 @@ cubical matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .cubes import CubicalMatrix
 from .tables import _check_margins, weight
@@ -92,12 +93,13 @@ def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
 
 
 def encode(gamma: CubicalMatrix) -> ThreeWord:
-    """Word with column (k, i+1, j+1) repeated Gamma^k_ij times, lex order."""
-    cols = []
-    for i, j, k, v in gamma.nonzero_entries():
-        cols.extend([(k, i + 1, j + 1)] * v)
-    cols.sort()
-    return ThreeWord(tuple(cols))
+    """Word with column (k, i+1, j+1) repeated Gamma^k_ij times.
+
+    The matrix's sorted runs are already in the word's lex order.
+    """
+    return ThreeWord(tuple(
+        (k, i + 1, j + 1) for k, i, j, v in gamma.entries for _ in range(v)
+    ))
 
 
 def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
@@ -126,16 +128,10 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
         a = max((col[1] for col in omega.columns), default=1) - 1
         b = max((col[2] for col in omega.columns), default=1) - 1
         a, b = max(a, 1), max(b, 1)
-    top = max((col[0] for col in omega.columns), default=0)
-    levels = []
-    for k in range(top + 1):
-        rows = [[0] * (b + 1) for _ in range(a + 1)]
-        levels.append(rows)
-    for s, i, j in omega.columns:
-        levels[s][i - 1][j - 1] += 1
-    return CubicalMatrix(
-        tuple(tuple(tuple(r) for r in lvl) for lvl in levels)
-    )
+    return CubicalMatrix(a, b, tuple(
+        (s, i - 1, j - 1, len(list(units)))
+        for (s, i, j), units in groupby(omega.columns)
+    ))
 
 
 def word_stats(omega: ThreeWord):

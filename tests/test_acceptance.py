@@ -323,7 +323,7 @@ def test_criterion_5_three_word_bijection():
     from qstar.cubes import CubicalMatrix
 
     word = ThreeWord(((0, 3, 3), (1, 2, 2), (1, 2, 3)))
-    matrix = CubicalMatrix((
+    matrix = CubicalMatrix.from_levels((
         ((0, 0, 0), (0, 0, 0), (0, 0, 1)),
         ((0, 0, 0), (0, 1, 1), (0, 0, 0)),
     ))

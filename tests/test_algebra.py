@@ -7,7 +7,6 @@ from qstar.algebra import (
     MonomialSyntaxError,
     ScaledMonomial,
     b_length,
-    b_term,
     build_B,
     parse_monomial,
     render_monomial,
@@ -76,6 +75,15 @@ class TestStarPair:
             (1, ScaledMonomial(1, M(0, 0))),
         ]
 
+    def test_scaled_entry(self):
+        assert dict(star_pair(M(2, 1), M(2, 2)))[1] == ScaledMonomial(2, M(3, 2))
+
+    def test_k0_always_unit(self):
+        assert dict(star_pair(X, Y))[0] == ScaledMonomial(1, M(1, 1))
+
+    def test_beyond_range_is_absent(self):
+        assert 2 not in dict(star_pair(M(2, 1), M(3, 0)))
+
     @given(monomials, monomials)
     def test_length_and_leading_coeff(self, p, q):
         terms = star_pair(p, q)
@@ -95,25 +103,6 @@ class TestStarPair:
                 * (factorial(f) // factorial(f - k))
             )
             assert term.coeff == expected
-
-
-class TestBTerm:
-    def test_scaled_entry(self):
-        assert b_term(M(2, 1), M(2, 2), 1) == ScaledMonomial(2, M(3, 2))
-
-    def test_k0_always_unit(self):
-        assert b_term(X, Y, 0) == ScaledMonomial(1, M(1, 1))
-
-    def test_beyond_range_is_zero(self):
-        assert b_term(M(2, 1), M(3, 0), 2).is_zero()
-
-    @given(monomials, monomials, st.integers(0, 8))
-    def test_agrees_with_star_pair(self, p, q, k):
-        terms = dict(star_pair(p, q))
-        if k <= min(p.y, q.x):
-            assert b_term(p, q, k) == terms[k]
-        else:
-            assert b_term(p, q, k).is_zero()
 
 
 class TestBuildB:

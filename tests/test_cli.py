@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -67,6 +68,32 @@ class TestStar:
         assert code == 0
         assert target.read_text().strip() == "e_(1)(xy) + e_(1)(1) h"
 
+    def test_scalar_beyond_int_digit_limit(self, capsys):
+        code, out, err = run(
+            capsys, "star", "--alpha", "1", "--beta", "1",
+            "--p", "x^1700y^1700", "--q", "x^1700y^2", "--n", "1",
+        )
+        assert (code, err) == (0, "")
+        # the h^1700 scalar is 1700!, 4,700 digits
+        scalar = max((tok for tok in out.split() if tok.isdigit()), key=len)
+        assert len(scalar) > 4300
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-to-str digit limit",
+    )
+    def test_digit_limit_kept_for_parsing(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "star", "--alpha", "1", "--beta", "1",
+            "--p", "x^" + "1" * 4301, "--q", "y", "--n", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        run(capsys, "star", "--alpha", "1", "--beta", "1",
+            "--p", "y^1700", "--q", "x^1700", "--n", "1")
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestEnum:
     def test_q_by_level_worked_example(self, capsys):
@@ -115,6 +142,24 @@ class TestEnum:
         _, out1, _ = run(capsys, "enum", "Q", *flags, "--levels", "1")
         _, out3, _ = run(capsys, "enum", "Q", *flags, "--levels", "3")
         assert (out1, out3) == ("0,0,0,1\n", "0,0,0,1,0\n")
+
+    def test_q_monomials_must_match_margins(self, capsys):
+        code, out, err = run(
+            capsys, "enum", "Q", "--alpha", "1,1", "--beta", "1",
+            "--n", "2", "--m", "1", "--layout", "by-pair",
+            "--p", "x", "--q", "y",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: monomial lists must match multi-index lengths\n"
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_q_needs_both_monomial_lists(self, capsys, flag):
+        code, out, err = run(
+            capsys, "enum", "Q", "--alpha", "1", "--beta", "1",
+            "--n", "1", "--m", "1", flag, "xy",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --p and --q must be given together\n"
 
     @pytest.mark.parametrize("kind", ["A", "Q"])
     def test_negative_m(self, capsys, kind):
@@ -168,6 +213,12 @@ class TestWord:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("word,shape", [("", "0,0"), ("(0,1,2)", "0,1")])
+    def test_decode_nonpositive_shape(self, capsys, word, shape):
+        code, out, err = run(capsys, "word", "decode", word, "--shape", shape)
+        assert (code, out) == (2, "")
+        assert err == "error: shape entries must be positive\n"
 
     @pytest.mark.parametrize(
         "vec,shape",

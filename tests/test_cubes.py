@@ -19,18 +19,19 @@ from qstar.cubes import (
     to_vector,
 )
 from qstar.tables import MarginMatrix, enumerate_L, interior_support_count
+from qstar.words import encode
 
 X = Monomial2(1, 0)
 Y = Monomial2(0, 1)
 
 
 def mk(*levels):
-    return CubicalMatrix(tuple(tuple(tuple(r) for r in lvl) for lvl in levels))
+    return CubicalMatrix.from_levels(levels)
 
 
 @st.composite
-def cubical_matrices(draw, a, b, top):
-    """Shape (a, b) matrices whose interior cell (i, j) uses levels
+def dense_levels(draw, a, b, top):
+    """Dense levels of shape (a, b) whose interior cell (i, j) uses levels
     0..top(i, j); the boundary stays at level 0."""
     levels = [
         [[0] * (b + 1) for _ in range(a + 1)]
@@ -43,14 +44,22 @@ def cubical_matrices(draw, a, b, top):
                 continue
             for k in range(top(i, j) + 1 if i and j else 1):
                 levels[k][i][j] = draw(st.integers(0, 3))
-    return mk(*levels)
+    return levels
+
+
+def cubical_matrices(a, b, top):
+    return dense_levels(a, b, top).map(CubicalMatrix.from_levels)
 
 
 @st.composite
-def shaped_matrices(draw):
+def shaped_levels(draw):
     a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     top = draw(st.integers(0, 3))
-    return draw(cubical_matrices(a, b, lambda i, j: top))
+    return draw(dense_levels(a, b, lambda i, j: top))
+
+
+def shaped_matrices():
+    return shaped_levels().map(CubicalMatrix.from_levels)
 
 
 @st.composite
@@ -80,10 +89,9 @@ class TestEnumerateQ:
 
     def test_defining_conditions(self):
         for g in enumerate_Q((1, 2), (2, 1), 4, 2):
-            assert all(g.entry(0, 0, k) == 0 for k in range(3))
-            for k in range(1, len(g.levels)):
-                assert all(g.entry(i, 0, k) == 0 for i in range(3))
-                assert all(g.entry(0, j, k) == 0 for j in range(3))
+            for k, i, j, _ in g.entries:
+                assert (i, j) != (0, 0)
+                assert k == 0 or (i and j)
             assert g.size() <= 4
             assert g.weight() == 2
             assert (g.row_margin(1), g.row_margin(2)) == (1, 2)
@@ -94,6 +102,38 @@ class TestEnumerateQ:
         (g,) = enumerate_Q((1,), (1,), 1, 1500)
         assert g.weight() == 1500
         assert g.support_level() == 1500
+        # stored as one run, not 1,501 levels
+        assert g.entries == ((1500, 1, 1, 1),)
+        assert encode(g).columns == ((1500, 2, 2),)
+
+
+class TestEntries:
+    @given(shaped_matrices(), st.randoms(use_true_random=False), st.data())
+    def test_shuffled_runs_with_zeros(self, g, rng, data):
+        zeros = data.draw(st.lists(st.tuples(
+            st.integers(0, 3), st.integers(0, g.a), st.integers(0, g.b),
+            st.just(0),
+        )))
+        runs = list(g.entries) + zeros
+        rng.shuffle(runs)
+        h = CubicalMatrix(g.a, g.b, runs)
+        assert h == g
+        assert hash(h) == hash(g)
+        assert h.entries == g.entries
+
+    def test_rejects_nonpositive_shape(self):
+        for a, b in [(0, 1), (1, 0), (0, 0)]:
+            with pytest.raises(ValueError):
+                CubicalMatrix(a, b)
+
+    @given(shaped_levels())
+    def test_from_levels_round_trip(self, levels):
+        g = CubicalMatrix.from_levels(levels)
+        # the by-level layout read straight off the dense levels
+        flat = [row[0] for row in levels[0][1:]] + levels[0][0][1:]
+        flat += [v for lvl in levels for row in lvl[1:] for v in row[1:]]
+        assert to_vector(g, levels=len(levels)) == tuple(flat)
+        assert from_vector(flat, shape=(g.a, g.b)) == g
 
 
 class TestSupportLevel:
@@ -249,7 +289,7 @@ class TestVectorCodec:
     @given(shaped_matrices(), st.integers(0, 3))
     def test_by_level_round_trip(self, g, extra):
         assert from_vector(to_vector(g), shape=(g.a, g.b)) == g
-        levels = len(g.levels) + extra
+        levels = g.support_level() + 1 + extra
         vec = to_vector(g, levels=levels)
         assert len(vec) == g.a + g.b + levels * g.a * g.b
         assert from_vector(vec, shape=(g.a, g.b)) == g

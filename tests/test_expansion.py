@@ -18,7 +18,7 @@ Y = Monomial2(0, 1)
 
 
 def mk(*levels):
-    return CubicalMatrix(tuple(tuple(tuple(r) for r in lvl) for lvl in levels))
+    return CubicalMatrix.from_levels(levels)
 
 
 class TestGammaToETerm:

@@ -74,7 +74,7 @@ def three_entry_grid():
 
 
 def mk(*levels):
-    return CubicalMatrix(tuple(tuple(tuple(r) for r in lvl) for lvl in levels))
+    return CubicalMatrix.from_levels(levels)
 
 
 # Example 3Palabra: level-0 unit at (2,2), level-1 units at (1,1) and (1,2)
