@@ -2,7 +2,8 @@
 
 Subcommands: star (full expansion), enum (L / Q / A listings), word
 (3-word codec) and verify (oracle cross-check).  Exit codes: 0 ok,
-1 verification failure, 2 input error, 3 internal path mismatch.
+1 verification failure, 2 input error, 3 internal path mismatch, 4 internal
+error (any other exception, reported as one "error: internal:" line).
 All output is deterministic for fixed inputs.
 """
 
@@ -18,6 +19,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PATH_MISMATCH = 3
+EXIT_INTERNAL = 4
+
+# the enum options each kind reads; the others are refused, not ignored
+ENUM_OPTIONS = {
+    "L": (),
+    "A": ("m",),
+    "Q": ("m", "p", "q", "layout", "levels"),
+}
 
 
 def _parse_multiindex(text: str) -> tuple:
@@ -154,6 +163,12 @@ def cmd_enum(args) -> int:
     alpha = _parse_multiindex(args.alpha)
     beta = _parse_multiindex(args.beta)
     kind = args.kind
+    refused = [
+        f"--{name}" for name in ENUM_OPTIONS["Q"]
+        if name not in ENUM_OPTIONS[kind] and getattr(args, name) is not None
+    ]
+    if refused:
+        raise ValueError(f"enum {kind} does not take {', '.join(refused)}")
     if kind == "L":
         items = tables.enumerate_L(alpha, beta, args.n)
         lines = [
@@ -181,7 +196,8 @@ def cmd_enum(args) -> int:
             items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
             lines = [
                 ",".join(map(str, cubes.to_vector(
-                    g, layout=args.layout, btable=btable, levels=pad
+                    g, layout=args.layout or "by-level", btable=btable,
+                    levels=pad,
                 )))
                 for g in items
             ]
@@ -264,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--m", type=int)
     p_enum.add_argument("--count-only", action="store_true")
     p_enum.add_argument(
-        "--layout", choices=["by-level", "by-pair"], default="by-level"
+        "--layout", choices=["by-level", "by-pair"],
+        help="Q vector layout (default by-level)",
     )
     p_enum.add_argument("--p", help="pads Q vectors to the support bound")
     p_enum.add_argument("--q")
@@ -302,6 +319,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, not of its input
+        line = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        print(f"error: internal: {line}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -135,19 +135,21 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     return out
 
 
-def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
+def lift(gamma: MarginMatrix, s: int, m: int,
+         caps=None) -> list[CubicalMatrix]:
     """All cubical matrices of support s and weight m whose smash is gamma.
 
     Redistributes each interior entry into levels 0..s; the boundary stays
-    at level 0.  Empty when no redistribution has weight m with level s
-    occupied.  An independent cross-check route: it does not call
-    tables.level_stacks.
+    at level 0.  With caps, cell (i, j) (1-based) uses levels up to
+    min(s, caps(i, j)) only.  Empty when no redistribution has weight m
+    with level s occupied.  An independent cross-check route: it does not
+    call tables.level_stacks.
     """
     if s > m:
         raise ValueError("support level cannot exceed the weight")
     a, b = gamma.a, gamma.b
     cells = [
-        (i, j)
+        (i, j, s if caps is None else min(s, caps(i, j)))
         for i in range(1, a + 1)
         for j in range(1, b + 1)
         if gamma[i, j]
@@ -161,7 +163,9 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
         if idx == len(cells):
             if wrem != 0:
                 return
-            if s > 0 and not any(c[s] for c in chosen.values()):
+            if s > 0 and not any(
+                len(c) > s and c[s] for c in chosen.values()
+            ):
                 return
             out.append(CubicalMatrix(a, b, edge + [
                 (k, i, j, c)
@@ -169,8 +173,8 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
                 for k, c in enumerate(counts)
             ]))
             return
-        i, j = cells[idx]
-        for counts, w in _level_splits(gamma[i, j], s, wrem):
+        i, j, top = cells[idx]
+        for counts, w in _level_splits(gamma[i, j], top, wrem):
             chosen[(i, j)] = counts
             rec(idx + 1, wrem - w)
         chosen.pop((i, j), None)
@@ -178,18 +182,19 @@ def lift(gamma: MarginMatrix, s: int, m: int) -> list[CubicalMatrix]:
     if s == 0:
         if m == 0:
             out.append(from_margin(gamma))
-    else:
+    elif any(top == s for _, _, top in cells):
         rec(0, m)
     out.sort(key=lambda g: to_vector(g, levels=s + 1))
     return out
 
 
-def lift_all(alpha, beta, n, m) -> list[CubicalMatrix]:
+def lift_all(alpha, beta, n, m, caps=None) -> list[CubicalMatrix]:
     """Q(alpha, beta, n, m) built by lifting every classical matrix.
 
     The cross-check route for enumerate_Q: the classical matrices come from
     enumerate_L, but their levels are placed by lift, not by
     tables.level_stacks; L itself is checked against words.enumerate_A.
+    caps is passed to lift; with None this is all of Q(m).
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -197,7 +202,7 @@ def lift_all(alpha, beta, n, m) -> list[CubicalMatrix]:
     out = []
     for gamma in enumerate_L(alpha, beta, n):
         for s in range(m + 1):
-            out.extend(lift(gamma, s, m))
+            out.extend(lift(gamma, s, m, caps))
     out.sort(key=lambda g: to_vector(g, levels=m + 1))
     return out
 

@@ -105,8 +105,8 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
 
     The enumerate path makes one pass over the level stacks with the cap of
     cell (i, j) at K_ij and weight at most M, so every matrix contributes;
-    the lift path lifts the classical matrices for each m and drops the
-    vanishing terms.
+    the lift path lifts the classical matrices for each m with the same
+    caps, so it builds no vanishing term either.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -128,7 +128,9 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
         )
     else:
         gammas = (
-            g for m in range(m_bound + 1) for g in lift_all(alpha, beta, n, m)
+            g
+            for m in range(m_bound + 1)
+            for g in lift_all(alpha, beta, n, m, btable.k_max)
         )
     by_order = {}
     for gamma in gammas:

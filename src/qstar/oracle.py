@@ -1,20 +1,23 @@
-"""Ground-truth checks in the explicit 2n-variable polynomial ring.
+"""Ground-truth checks of the star expansion against the Moyal product.
 
 NPoly is a sparse exact polynomial in x_1..x_n, y_1..y_n and h.  Elementary
 multisymmetric functions are expanded straight from their generating
-product, the n-particle Moyal product is applied term by term, and the main
-star-product identity is verified coefficient for coefficient.
+product and the n-particle Moyal product is applied term by term; this full
+route is the independent reference.  verify compares both sides in the
+orbit basis instead: both are invariant under permuting the n copies, so a
+symmetric polynomial is fixed by one coefficient per orbit of monomials.
+An orbit key is (sorted tuple of per-copy (x, y) pairs, h power).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, product
-from math import comb, perm
+from itertools import chain, groupby, product
+from math import comb, factorial, perm, prod
 from operator import add, sub
 
-from .algebra import Monomial2
+from .algebra import Monomial2, ScaledMonomial, render_monomial
 from .expansion import ETerm, StarExpansion, star_product
 from .tables import classical_product, weight
 
@@ -176,6 +179,9 @@ def expand_elementary(alpha, p, n: int) -> NPoly:
 def expand_eterm(term: ETerm, n: int) -> NPoly:
     """Expand one symbolic term, including its scalar and h power.
 
+    Part of the full route, the reference that term_orbits is tested
+    against; verify does not call it.
+
     A term of total multiplicity above n expands to zero, with the warning
     expand_elementary gives.
     """
@@ -188,7 +194,9 @@ def moyal(f: NPoly, g: NPoly) -> NPoly:
 
     f * g = sum_kappa h^|kappa| / kappa! * d_y^kappa f * d_x^kappa g, with
     kappa running over n-vectors.  Integer inputs give integer output; this
-    is asserted rather than assumed.
+    is asserted rather than assumed.  On both full factors this is the
+    reference route; verify applies it to one monomial of the left factor
+    (see moyal_orbits).
     """
     if f.n != g.n:
         raise ValueError("mismatched number of copies")
@@ -244,15 +252,107 @@ def poisson(f: NPoly, g: NPoly) -> NPoly:
 
 
 def expand_terms(terms, n: int) -> NPoly:
-    """Sum of the expanded symbolic terms, accumulated in one pass."""
+    """Sum of the expanded symbolic terms, accumulated in one pass.
+
+    The full route's LHS, kept as the independent reference for
+    term_orbits; verify does not call it.
+    """
     return _accumulate(n, chain.from_iterable(
         expand_eterm(term, n).terms.items() for term in terms
     ))
 
 
 def expand_expansion(expansion: StarExpansion, n: int) -> NPoly:
-    """Sum of all expanded terms of a star expansion."""
+    """Sum of all expanded terms of a star expansion (full route)."""
     return expand_terms(expansion.terms(), n)
+
+
+def _stabilizer(pairs: tuple) -> int:
+    """Permutations of the copies fixing a monomial: prod_P count_P!."""
+    return prod(factorial(len(list(run))) for _, run in groupby(pairs))
+
+
+def term_orbits(terms, n: int) -> dict:
+    """Orbit coefficients of a sum of symbolic terms, with no expansion.
+
+    scalar * e_mu(m_1..m_r) * h^m is one orbit: mu_j copies carry m_j and
+    the n - |mu| unused copies carry (0, 0).  A monomial of it arises from
+    prod_P count_P! / (prod_j mu_j! * (n - |mu|)!) choices of copies.  A
+    term with |mu| > n is zero.
+    """
+    out = {}
+    for term in terms:
+        mults = term.multiplicities()
+        unused = n - sum(mults)
+        if unused < 0:
+            continue
+        pairs = tuple(sorted(chain(
+            [(0, 0)] * unused,
+            *([(mono.x, mono.y)] * mult for mult, mono in term.slots),
+        )))
+        den = factorial(unused) * prod(map(factorial, mults))
+        key = (pairs, term.hbar)
+        out[key] = out.get(key, 0) + term.scalar * (_stabilizer(pairs) // den)
+    return {key: c for key, c in out.items() if c}
+
+
+def moyal_orbits(alpha, p, beta, q, n: int) -> dict:
+    """Orbit coefficients of e_alpha(p) * e_beta(q) from one monomial of f.
+
+    The Moyal kernel factors over the copies, so it commutes with permuting
+    them, and g = e_beta(q) is symmetric.  With x^k one monomial of f,
+    f * g = c_f sum_{sigma in S_n / Stab(k)} sigma (x^k * g), so the
+    coefficient at orbit K is |Stab(K)| / (prod_j alpha_j! (n - |alpha|)!)
+    times the sum of the coefficients of x^k * g over K's monomials.  The
+    product is zero when |alpha| > n.
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != len(p):
+        raise ValueError("alpha and p must have equal length")
+    unused = n - weight(alpha)
+    if unused < 0:
+        return {}
+    rep = [0] * (2 * n + 1)
+    copies = chain.from_iterable([mono] * mult for mult, mono in zip(alpha, p))
+    for copy, mono in enumerate(copies):
+        rep[copy] = mono.x
+        rep[n + copy] = mono.y
+    single = moyal(NPoly(n, {tuple(rep): 1}), expand_elementary(beta, q, n))
+    bins = {}
+    for key, c in single.terms.items():
+        orbit = tuple(sorted(zip(key[:n], key[n:2 * n]))), key[-1]
+        bins[orbit] = bins.get(orbit, 0) + c
+    den = factorial(unused) * prod(map(factorial, alpha))
+    out = {}
+    for orbit, c in bins.items():
+        coeff, rest = divmod(c * _stabilizer(orbit[0]), den)
+        assert rest == 0, "orbit coefficient is not an integer"
+        if coeff:
+            out[orbit] = coeff
+    return out
+
+
+def _render_orbit(orbit: tuple) -> str:
+    """An orbit as its per-copy monomials and h power, e.g. (1, x^2y) h^1."""
+    pairs, hbar = orbit
+    monos = ", ".join(
+        render_monomial(ScaledMonomial(1, Monomial2(x, y))) for x, y in pairs
+    )
+    return f"({monos}) h^{hbar}"
+
+
+def _orbit_mismatch(lhs: dict, rhs: dict) -> str:
+    differ = sorted(
+        (key for key in lhs.keys() | rhs.keys()
+         if lhs.get(key, 0) != rhs.get(key, 0)),
+        key=lambda key: (key[1], key[0]),
+    )
+    first = differ[0]
+    return (
+        f"expansion differs from Moyal oracle in {len(differ)} orbit(s); "
+        f"first {_render_orbit(first)}: expansion {lhs.get(first, 0)}, "
+        f"oracle {rhs.get(first, 0)}"
+    )
 
 
 @dataclass
@@ -270,8 +370,10 @@ class VerifyReport:
 def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
     """End-to-end check of the star expansion against the Moyal oracle.
 
-    drop_scalars is a negative-control hook: it strips the term scalars
-    before comparing, which must make the identity fail whenever a
+    Both sides and the classical reference are compared in the orbit basis
+    (term_orbits, moyal_orbits); the full NPoly route stays as the tested
+    reference.  drop_scalars is a negative-control hook: it strips the term
+    scalars before comparing, which must make the identity fail whenever a
     nontrivial kernel coefficient occurs.
     """
     alpha = tuple(alpha)
@@ -292,20 +394,14 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
             for m, ts in exp_enum.by_order.items()
         })
 
-    lhs = expand_expansion(expansion, n)
-    rhs = moyal(
-        expand_elementary(alpha, p, n), expand_elementary(beta, q, n)
-    )
+    lhs = term_orbits(expansion.terms(), n)
+    rhs = moyal_orbits(alpha, p, beta, q, n)
     identity_ok = lhs == rhs
     if not identity_ok:
-        diff = lhs - rhs
-        details.append(
-            f"expansion differs from Moyal oracle in {len(diff.terms)} "
-            f"coefficient(s), e.g. {sorted(diff.terms.items())[:3]}"
-        )
+        details.append(_orbit_mismatch(lhs, rhs))
 
-    classical_poly = expand_terms(classical_product(alpha, p, beta, q, n), n)
-    classical_ok = lhs.hbar_coefficient(0) == classical_poly
+    classical = term_orbits(classical_product(alpha, p, beta, q, n), n)
+    classical_ok = {k: c for k, c in lhs.items() if k[1] == 0} == classical
     if not classical_ok:
         details.append("h^0 slice differs from the classical product")
 

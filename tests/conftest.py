@@ -72,3 +72,27 @@ def oracle_grid():
             yield alpha, beta, p, q, n
 
     yield WORKED
+
+
+def wide_margin_grid():
+    """(alpha, beta, p, q, n) specs with two-entry margins of weight 3-4.
+
+    Two seeded specs per pair of margins, n <= 6, exponents up to 3.  The
+    orbit-basis verify checks these; oracle_grid stays the set the full
+    polynomial route is timed on.
+    """
+    rng = random.Random(20261018)
+    margins = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
+    for alpha in margins:
+        for beta in margins:
+            for _ in range(2):
+                n = rng.randint(max(sum(alpha), sum(beta)), 6)
+                p = tuple(
+                    Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                    for _ in alpha
+                )
+                q = tuple(
+                    Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                    for _ in beta
+                )
+                yield alpha, beta, p, q, n

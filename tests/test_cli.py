@@ -161,6 +161,31 @@ class TestEnum:
         assert (code, out) == (2, "")
         assert err == "error: --p and --q must be given together\n"
 
+    @pytest.mark.parametrize("kind,flags,named", [
+        ("L", ["--p", "x"], "--p"),
+        ("L", ["--q", "y", "--layout", "by-level"], "--q, --layout"),
+        ("L", ["--m", "0"], "--m"),
+        ("L", ["--levels", "2"], "--levels"),
+        ("A", ["--m", "0", "--p", "bogus", "--layout", "by-pair"],
+         "--p, --layout"),
+        ("A", ["--m", "0", "--q", "x", "--levels", "1"], "--q, --levels"),
+    ])
+    def test_l_and_a_refuse_options_they_ignore(self, capsys, kind, flags,
+                                                named):
+        code, out, err = run(
+            capsys, "enum", kind, "--alpha", "1", "--beta", "1", "--n", "1",
+            *flags,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: enum {kind} does not take {named}\n"
+
+    def test_q_layout_defaults_to_by_level(self, capsys):
+        flags = ["--alpha", "1,1", "--beta", "2,1", "--n", "4", "--m", "1"]
+        _, default, _ = run(capsys, "enum", "Q", *flags)
+        _, by_level, _ = run(capsys, "enum", "Q", *flags,
+                             "--layout", "by-level")
+        assert default and default == by_level
+
     @pytest.mark.parametrize("kind", ["A", "Q"])
     def test_negative_m(self, capsys, kind):
         code, out, err = run(
@@ -262,6 +287,42 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+        assert out.splitlines()[-1] == (
+            "expansion differs from Moyal oracle in 13 orbit(s); first "
+            "(1, x^2y^2, x^4, x^6y) h^1: expansion 1, oracle 3"
+        )
+
+
+class TestInternalError:
+    def test_deep_enum_a_exits_4(self, capsys):
+        # enumerate_A recurses once per candidate, which grows with m
+        code, out, err = run(
+            capsys, "enum", "A", "--alpha", "1", "--beta", "1", "--n", "1",
+            "--m", "100000", "--count-only",
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: RecursionError: ")
+        assert len(err.splitlines()) == 1
+
+    def test_any_fault_exits_4(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr("qstar.oracle.moyal", broken)
+        code, out, err = run(capsys, "verify", *WORKED_FLAGS)
+        assert (code, out) == (4, "")
+        assert err == "error: internal: RuntimeError: first line\n"
+
+    def test_input_errors_keep_exit_2(self, capsys):
+        code, _, err = run(capsys, "enum", "L", "--alpha", "x", "--beta",
+                           "1", "--n", "1")
+        assert code == 2
+        assert err == "error: bad multi-index 'x'\n"
+
+    def test_usage_errors_still_exit_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "L", "--alpha", "1"])
+        assert exc.value.code == 2
 
 
 class TestParser:

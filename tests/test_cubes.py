@@ -191,6 +191,27 @@ class TestLift:
         gamma = MarginMatrix(((0, 1, 1), (1, 0, 0), (1, 0, 0)))
         assert lift(gamma, 1, 1) == []
 
+    def test_caps_filter_the_uncapped_lift(self):
+        tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
+
+        def caps(i, j):
+            return tops[i, j]
+
+        def capped(gammas):
+            return [
+                g for g in gammas
+                if all(k <= tops[i, j] for k, i, j, _ in g.entries if i and j)
+            ]
+
+        for gamma in enumerate_L((1, 2), (2, 1), 4):
+            for s in range(5):
+                for m in range(s, 6):
+                    assert lift(gamma, s, m, caps) == capped(lift(gamma, s, m))
+        for m in range(6):
+            assert lift_all((2, 2), (1, 2), 4, m, caps) == capped(
+                enumerate_Q((2, 2), (1, 2), 4, m)
+            )
+
     def test_lift_then_smash(self):
         for gamma in enumerate_L((1, 2), (2, 1), 4):
             for s in range(3):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
+from math import factorial, prod
 
 import pytest
 
 import qstar.oracle
-from conftest import WORKED
+from conftest import WORKED, oracle_grid, wide_margin_grid
 from qstar.algebra import Monomial2, star_pair
 from qstar.expansion import ETerm, star_product
 from qstar.oracle import (
@@ -14,9 +15,12 @@ from qstar.oracle import (
     expand_eterm,
     expand_terms,
     moyal,
+    moyal_orbits,
     poisson,
+    term_orbits,
     verify,
 )
+from qstar.tables import classical_product
 
 X = Monomial2(1, 0)
 Y = Monomial2(0, 1)
@@ -26,6 +30,24 @@ XY = Monomial2(1, 1)
 def var(name, i, n):
     mono = X if name == "x" else Y
     return NPoly.from_monomial(mono, i, n)
+
+
+def full_orbits(poly):
+    """A symmetric NPoly as {(sorted per-copy pairs, h power): coefficient}.
+
+    Asserts that every monomial of an orbit is present with one and the
+    same coefficient.
+    """
+    n = poly.n
+    seen = {}
+    for key, c in poly.terms.items():
+        orbit = tuple(sorted(zip(key[:n], key[n:2 * n]))), key[-1]
+        seen.setdefault(orbit, []).append(c)
+    for (pairs, _), coeffs in seen.items():
+        stabilizer = prod(factorial(len(list(g))) for _, g in groupby(pairs))
+        assert len(coeffs) == factorial(n) // stabilizer, pairs
+        assert len(set(coeffs)) == 1, pairs
+    return {orbit: coeffs[0] for orbit, coeffs in seen.items()}
 
 
 def random_poly(rng, n, max_terms=4, max_deg=3):
@@ -194,6 +216,38 @@ class TestVerify:
         report = verify(*WORKED, drop_scalars=True)
         assert not report.identity_ok
         assert report.details
+        # the detail counts the differing orbits and names the first one,
+        # lowest h power first, as per-copy monomials
+        assert report.details == [
+            "expansion differs from Moyal oracle in 13 orbit(s); first "
+            "(1, x^2y^2, x^4, x^6y) h^1: expansion 1, oracle 3"
+        ]
+        alpha, beta, p, q, n = WORKED
+        dropped = [
+            ETerm(t.hbar, 1, t.slots) for t in star_product(*WORKED).terms()
+        ]
+        lhs = full_orbits(expand_terms(dropped, n))
+        rhs = full_orbits(moyal(
+            expand_elementary(alpha, p, n), expand_elementary(beta, q, n)
+        ))
+        differ = {k for k in lhs.keys() | rhs.keys()
+                  if lhs.get(k) != rhs.get(k)}
+        assert len(differ) == 13
+        first = (((0, 0), (2, 2), (4, 0), (6, 1)), 1)
+        assert min(differ, key=lambda k: (k[1], k[0])) == first
+        assert (lhs[first], rhs[first]) == (1, 3)
+
+    def test_wide_margin_grid(self):
+        # two-entry margins of weight 3-4 at n <= 6; dropping the scalars
+        # fails exactly where some kernel coefficient is not 1
+        checked = 0
+        for spec in wide_margin_grid():
+            assert verify(*spec).ok, spec
+            nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
+            dropped = verify(*spec, drop_scalars=True)
+            assert dropped.identity_ok != nontrivial, spec
+            checked += nontrivial
+        assert checked == 37
 
     def test_classical_negative_control(self, monkeypatch):
         # the h^0 slice is read from the LHS, so a wrong reference must
@@ -226,3 +280,41 @@ class TestWorkedExample:
         for term in terms:
             folded = folded + expand_eterm(term, n)
         assert expand_terms(terms, n) == folded
+
+
+class TestOrbitRoute:
+    @pytest.mark.parametrize("term,n", [
+        (ETerm(1, 1, ((1, Monomial2(0, 0)),)), 2),
+        (ETerm(0, 1, ((1, X), (1, X))), 2),
+        (ETerm(2, -3, ((2, XY), (1, X), (1, Monomial2(0, 0)))), 5),
+        (ETerm(0, 4, ((2, Y),)), 2),
+    ])
+    def test_term_equals_its_expansion(self, term, n):
+        assert term_orbits([term], n) == full_orbits(expand_eterm(term, n))
+
+    def test_term_above_n_is_zero(self):
+        assert term_orbits([ETerm(0, 1, ((3, X),))], 2) == {}
+
+    def test_equals_full_route_on_oracle_grid(self):
+        for alpha, beta, p, q, n in oracle_grid():
+            terms = list(star_product(alpha, beta, p, q, n).terms())
+            assert term_orbits(terms, n) == full_orbits(
+                expand_terms(terms, n)
+            )
+            assert moyal_orbits(alpha, p, beta, q, n) == full_orbits(moyal(
+                expand_elementary(alpha, p, n),
+                expand_elementary(beta, q, n),
+            ))
+            classical = classical_product(alpha, p, beta, q, n)
+            assert term_orbits(classical, n) == full_orbits(
+                expand_terms(classical, n)
+            )
+
+    def test_three_three_at_n8(self):
+        # out of the full route's reach: |f * g| has 66,251,920 keys
+        p = (Monomial2(2, 3), Monomial2(1, 3))
+        q = (Monomial2(3, 1), Monomial2(4, 2))
+        terms = list(star_product((3, 3), (3, 3), p, q, 8).terms())
+        lhs = term_orbits(terms, 8)
+        assert (len(terms), len(lhs)) == (11656, 4454)
+        assert lhs == moyal_orbits((3, 3), p, (3, 3), q, 8)
