@@ -4,12 +4,14 @@ Subcommands: star (full expansion), enum (L / Q / A listings), word
 (3-word codec) and verify (oracle cross-check).  Exit codes: 0 ok,
 1 verification failure, 2 input error, 3 internal path mismatch, 4 internal
 error (any other exception, reported as one "error: internal:" line).
-All output is deterministic for fixed inputs.
+All output is deterministic for fixed inputs.  A process builds the
+argument parser once and reuses it for every main() call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 
@@ -311,9 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one qstar command; return its exit code.
+
+    Every call in a process reuses one parser, built on the first call.
+    Its set_defaults(func=...) binds the cmd_* functions at that moment,
+    so rebinding a cmd_* attribute later does not reach main, while the
+    functions the cmd_* call are still looked up at call time.  Usage
+    errors leave through argparse's SystemExit(2).
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -93,28 +93,31 @@ def support_level(gamma: CubicalMatrix) -> int:
 def _level_splits(total: int, top: int, budget: int):
     """Compositions of `total` into levels 0..top with weight at most budget.
 
-    Yields (counts, weight) with counts a tuple of length top + 1.  Only
-    lift uses it: the lift route places levels independently of
+    Yields (counts, weight) with counts a tuple of length top + 1, in
+    lexicographic order of counts.  Iterative, so a deep top costs no
+    recursion: levels 0..top-1 form an odometer whose deepest digit that
+    can take one more unit advances, and level top takes what is left.
+    Only lift uses it: the lift route places levels independently of
     tables.level_stacks so that the two can check each other.
     """
     counts = [0] * (top + 1)
-
-    def rec(k: int, rem: int, w: int):
-        if k == top:
-            if k * rem <= budget - w:
-                counts[k] = rem
-                yield tuple(counts), w + k * rem
-                counts[k] = 0
-            return
-        for c in range(rem + 1):
-            dw = k * c
-            if w + dw > budget:
-                break
-            counts[k] = c
-            yield from rec(k + 1, rem - c, w + dw)
+    rem, w = total, 0  # units and weight of levels 0..top-1
+    while True:
+        if top * rem <= budget - w:
+            counts[top] = rem
+            yield tuple(counts), w + top * rem
+            counts[top] = 0
+        k = top - 1
+        while k >= 0 and not (rem and w + k <= budget):
+            rem += counts[k]
+            w -= k * counts[k]
             counts[k] = 0
-
-    yield from rec(0, total, 0)
+            k -= 1
+        if k < 0:
+            return
+        counts[k] += 1
+        rem -= 1
+        w += k
 
 
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
@@ -253,7 +256,9 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     by-level: boundary (column 0 then row 0) followed by the interior of
     each level row-major; `levels` pads with zero levels.  by-pair: same
     boundary prefix, then per (i, j) the entries k = 0..K_ij aligned with
-    the BTable flat order.  Each run is placed at its index.
+    the BTable flat order.  Each run is placed at its index; a run
+    outside the shape (the corner cell, a row or column past a or b) or
+    on the boundary above level 0 raises ValueError.
     """
     a, b = gamma.a, gamma.b
     if layout == "by-level":
@@ -271,7 +276,7 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
             for j in range(1, b + 1)
         }
         over = [(i, j, k) for k, i, j, _ in gamma.entries
-                if i and j and k > kmax[i, j]]
+                if k > kmax.get((i, j), k)]  # others: shape check below
         if over:
             i, j, k = min(over)
             raise ValueError(f"entry at level {k} exceeds K_{i}{j}={kmax[i, j]}")
@@ -287,8 +292,12 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     else:
         raise ValueError(f"unknown layout {layout!r}")
     for k, i, j, v in gamma.entries:
+        if i > a or j > b or not (i or j):
+            raise ValueError(f"run {k, i, j, v} is outside the shape {a},{b}")
         if i and j:
             vec[index(k, i, j)] = v
+        elif k:
+            raise ValueError(f"boundary run {k, i, j, v} is above level 0")
         else:
             vec[i - 1 if i else a + j - 1] = v
     return tuple(vec)

@@ -144,60 +144,80 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     )
 
 
-def _render_eterm(term: ETerm) -> str:
-    mults = ",".join(str(m) for m in term.multiplicities())
-    args = ",".join(
-        render_monomial(ScaledMonomial(1, mono))
-        for mono in term.arguments()
+def _monomial_text(mono: Monomial2) -> str:
+    return render_monomial(ScaledMonomial(1, mono))
+
+
+def _render_text(expansion: StarExpansion) -> str:
+    texts = {}  # each distinct argument rendered once
+    out = []
+    for t in expansion.terms():
+        mults = ",".join(str(mult) for mult, _ in t.slots)
+        args = []
+        for _, mono in t.slots:
+            text = texts.get(mono)
+            if text is None:
+                text = texts[mono] = _monomial_text(mono)
+            args.append(text)
+        body = f"e_({mults})({','.join(args)})"
+        if t.scalar != 1:
+            body = f"{t.scalar} {body}"
+        if t.hbar == 1:
+            body += " h"
+        elif t.hbar > 1:
+            body += f" h^{t.hbar}"
+        out.append(body)
+    return " + ".join(out)
+
+
+def _json_list(items: list, indent: str) -> str:
+    """A list whose items are already written at indent + 2 spaces."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
+def _json_term(t: ETerm) -> str:
+    slots = [
+        f'        {{\n          "mult": {mult},\n          "monomial": {{\n'
+        f'            "x": {mono.x},\n            "y": {mono.y}\n'
+        f'          }}\n        }}'
+        for mult, mono in t.slots
+    ]
+    return (
+        f'    {{\n      "m": {t.hbar},\n      "scalar": {t.scalar},\n'
+        f'      "slots": {_json_list(slots, "      ")}\n    }}'
     )
-    body = f"e_({mults})({args})"
-    if term.scalar != 1:
-        body = f"{term.scalar} {body}"
-    if term.hbar == 1:
-        body += " h"
-    elif term.hbar > 1:
-        body += f" h^{term.hbar}"
-    return body
+
+
+def _render_json(expansion: StarExpansion) -> str:
+    head = json.dumps({
+        "params": {
+            "alpha": list(expansion.alpha),
+            "beta": list(expansion.beta),
+            "p": [_monomial_text(mono) for mono in expansion.p],
+            "q": [_monomial_text(mono) for mono in expansion.q],
+            "n": expansion.n,
+        },
+        "bounds": {"S": expansion.s_bound, "M": expansion.m_bound},
+    }, indent=2)
+    terms = [_json_term(t) for t in expansion.terms()]
+    # head ends with the closing brace of "bounds" and then of the document
+    return head[:-2] + ',\n  "terms": ' + _json_list(terms, "  ") + "\n}"
 
 
 def render(expansion: StarExpansion, fmt: str = "text") -> str:
     """Deterministic serialization; text mirrors e_(...)(...) h^m notation.
 
-    JSON "bounds.S" is the sharp contributing_support the expansion was
+    JSON is the bytes of json.dumps(doc, indent=2) for the document
+    {"params", "bounds", "terms"}, but only the params/bounds head goes
+    through json; the terms are written directly at the same indentation,
+    and tests/test_expansion.py holds the two byte-identical.  JSON
+    "bounds.S" is the sharp contributing_support the expansion was
     truncated at, not the paper's length-based max_support.
     """
     if fmt == "text":
-        return " + ".join(_render_eterm(t) for t in expansion.terms())
+        return _render_text(expansion)
     if fmt == "json":
-        doc = {
-            "params": {
-                "alpha": list(expansion.alpha),
-                "beta": list(expansion.beta),
-                "p": [
-                    render_monomial(ScaledMonomial(1, mono))
-                    for mono in expansion.p
-                ],
-                "q": [
-                    render_monomial(ScaledMonomial(1, mono))
-                    for mono in expansion.q
-                ],
-                "n": expansion.n,
-            },
-            "bounds": {"S": expansion.s_bound, "M": expansion.m_bound},
-            "terms": [
-                {
-                    "m": t.hbar,
-                    "scalar": t.scalar,
-                    "slots": [
-                        {
-                            "mult": mult,
-                            "monomial": {"x": mono.x, "y": mono.y},
-                        }
-                        for mult, mono in t.slots
-                    ],
-                }
-                for t in expansion.terms()
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        return _render_json(expansion)
     raise ValueError(f"unknown format {fmt!r}")

@@ -150,11 +150,14 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
     type and weight budgets and does not call tables.level_stacks.
-    Two cuts drop every branch that cannot complete.  Candidates come
-    in order of level s and the top level is m, so the rem columns left
-    must carry a weight in [s*rem, m*rem].  Boundary columns (row or
-    column value 1) exist only at level 0, so once s > 0 their residual
-    counts ti[1] and tj[1] must already be spent.
+    Each recursion takes at least one column of a later candidate, so
+    the depth is at most the column count, whatever m is.  Two cuts drop
+    every branch that cannot complete.  Candidates come in order of
+    level s and the top level is m, so the rem columns left must carry a
+    weight in [s*rem, m*rem].  Boundary columns (row or column value 1)
+    exist only at level 0, so once s > 0 their residual counts ti[1] and
+    tj[1] must already be spent.  Both cuts then hold for every later
+    candidate too, so they end the scan.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -178,29 +181,29 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         tj = [0, n_cols - weight(beta)] + list(beta)
         cols = []
 
-        def rec(idx: int, wrem: int, rem: int):
+        def rec(start: int, wrem: int, rem: int):
+            """Take c >= 1 columns of a candidate from start onwards."""
             if rem == 0:
                 if wrem == 0:
                     out.append(ThreeWord(tuple(cols)))
                 return
-            if idx == len(candidates):
+            if wrem > m * rem:
                 return
-            s, i, j = candidates[idx]
-            if not s * rem <= wrem <= m * rem:
-                return
-            if s > 0 and (ti[1] or tj[1]):
-                return
-            cap = min(ti[i], tj[j], rem)
-            if s > 0:
-                cap = min(cap, wrem // s)
-            for c in range(cap + 1):
-                ti[i] -= c
-                tj[j] -= c
-                cols.extend([(s, i, j)] * c)
-                rec(idx + 1, wrem - s * c, rem - c)
-                del cols[len(cols) - c:]
-                ti[i] += c
-                tj[j] += c
+            for idx in range(start, len(candidates)):
+                s, i, j = candidates[idx]
+                if s * rem > wrem or (s > 0 and (ti[1] or tj[1])):
+                    return  # every later candidate fails the same cut
+                cap = min(ti[i], tj[j], rem)
+                if s > 0:
+                    cap = min(cap, wrem // s)
+                for c in range(1, cap + 1):
+                    ti[i] -= c
+                    tj[j] -= c
+                    cols.extend([(s, i, j)] * c)
+                    rec(idx + 1, wrem - s * c, rem - c)
+                    del cols[len(cols) - c:]
+                    ti[i] += c
+                    tj[j] += c
 
         rec(0, m, n_cols)
     out.sort()

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from qstar import cli
 from qstar.cli import main
 
 WORKED_FLAGS = [
@@ -197,6 +198,15 @@ class TestEnum:
         assert err == "error: m must be nonnegative\n"
 
 
+    def test_a_depth_does_not_grow_with_m(self, capsys):
+        # enumerate_A used to recurse once per candidate, and so per level
+        code, out, err = run(
+            capsys, "enum", "A", "--alpha", "1", "--beta", "1", "--n", "1",
+            "--m", "100000", "--count-only",
+        )
+        assert (code, out, err) == (0, "1\n", "")
+
+
 class TestWord:
     def test_decode_example(self, capsys):
         code, out, _ = run(
@@ -294,16 +304,6 @@ class TestVerify:
 
 
 class TestInternalError:
-    def test_deep_enum_a_exits_4(self, capsys):
-        # enumerate_A recurses once per candidate, which grows with m
-        code, out, err = run(
-            capsys, "enum", "A", "--alpha", "1", "--beta", "1", "--n", "1",
-            "--m", "100000", "--count-only",
-        )
-        assert (code, out) == (4, "")
-        assert err.startswith("error: internal: RecursionError: ")
-        assert len(err.splitlines()) == 1
-
     def test_any_fault_exits_4(self, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("first line\nsecond line")
@@ -336,6 +336,39 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "2", "word", "stats", "(0,2,2)"])
         assert exc.value.code == 2
+
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        calls = [
+            ["enum", "L", "--alpha", "1"],  # usage error in a subparser
+            ["enum", "L", "--alpha", "x", "--beta", "1", "--n", "1"],
+            ["star", *WORKED_FLAGS, "--format", "json"],
+            ["enum", "A", "--alpha", "1,1", "--beta", "2,1", "--n", "4",
+             "--m", "1"],
+            ["verify", *WORKED_FLAGS],
+            ["star", "--alpha", "1", "--beta", "1", "--p", "y", "--q", "x",
+             "--n", "1"],
+            ["--threads", "2", "word", "stats", "(0,2,2)"],
+            ["star", *WORKED_FLAGS, "--format", "json"],
+        ]
+
+        def results():
+            out = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        assert cli._parser() is cli._parser()
+        reused = results()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = results()
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0, 2, 0]
 
 
 class TestDeterminism:

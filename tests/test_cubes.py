@@ -7,6 +7,7 @@ from conftest import WORKED, combinatorial_grid
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import (
     CubicalMatrix,
+    _level_splits,
     enumerate_Q,
     from_margin,
     from_vector,
@@ -222,6 +223,47 @@ class TestLift:
                         assert g.weight() == m
 
 
+def recursive_level_splits(total, top, budget):
+    """_level_splits as the plain backtracker, one recursion per level."""
+    counts = [0] * (top + 1)
+
+    def rec(k, rem, w):
+        if k == top:
+            if k * rem <= budget - w:
+                counts[k] = rem
+                yield tuple(counts), w + k * rem
+                counts[k] = 0
+            return
+        for c in range(rem + 1):
+            if w + k * c > budget:
+                break
+            counts[k] = c
+            yield from rec(k + 1, rem - c, w + k * c)
+            counts[k] = 0
+
+    yield from rec(0, total, 0)
+
+
+class TestLevelSplits:
+    def test_matches_recursive_reference(self):
+        for total in range(6):
+            for top in range(6):
+                for budget in range(4 * total + 3):
+                    assert list(_level_splits(total, top, budget)) == list(
+                        recursive_level_splits(total, top, budget)
+                    )
+
+    def test_deep_single_cell(self):
+        # one level per recursion used to exhaust the stack near 1000
+        gamma = MarginMatrix(((0, 0), (0, 1)))
+        assert lift(gamma, 1200, 1200) == [
+            CubicalMatrix(1, 1, ((1200, 1, 1, 1),))
+        ]
+        splits = list(_level_splits(1, 1200, 1200))
+        assert len(splits) == 1201
+        assert splits[0] == ((0,) * 1200 + (1,), 1200)
+
+
 class TestLiftAll:
     def test_matches_enumerate_m1(self):
         assert lift_all((1, 1), (2, 1), 4, 1) == enumerate_Q((1, 1), (2, 1), 4, 1)
@@ -336,6 +378,20 @@ class TestVectorCodec:
     def test_rejects_short_vector_or_nonpositive_shape(self, vec, shape):
         with pytest.raises(ValueError):
             from_vector(vec, shape=shape)
+
+
+    @pytest.mark.parametrize("layout", ["by-level", "by-pair"])
+    @pytest.mark.parametrize(
+        "runs",
+        [((0, 0, 0, 1),), ((1, 0, 1, 2),), ((2, 1, 0, 1),),
+         ((0, 2, 0, 1),), ((0, 1, 2, 1),), ((1, 1, 2, 1),)],
+    )
+    def test_rejects_runs_outside_the_shape(self, runs, layout):
+        # corner cell, boundary above level 0, row or column past a or b
+        g = CubicalMatrix(1, 1, runs)
+        btable = build_B((Monomial2(0, 2),), (Monomial2(2, 0),))
+        with pytest.raises(ValueError):
+            to_vector(g, layout=layout, btable=btable)
 
 
 class TestGridProperties:

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from conftest import WORKED
-from qstar.algebra import Monomial2, build_B
+from conftest import WORKED, oracle_grid
+from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
+from qstar.cli import _unlimited_int_digits
 from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.expansion import (
     ETerm,
+    canonical_slots,
     gamma_to_eterm,
     render,
     star_product,
@@ -149,8 +151,6 @@ class TestRender:
                 assert set(slot["monomial"]) == {"x", "y"}
 
     def test_scalar_and_power_rendering(self):
-        from qstar.expansion import canonical_slots
-
         term = ETerm(
             2, 3, canonical_slots([(1, Monomial2(2, 0)), (2, Monomial2(0, 0))])
         )
@@ -160,3 +160,101 @@ class TestRender:
             exp.s_bound, exp.m_bound, {2: [term]},
         )
         assert render(styled, "text") == "3 e_(2,1)(1,x^2) h^2"
+
+
+def _monomial_text(mono):
+    return render_monomial(ScaledMonomial(1, mono))
+
+
+def reference_json(exp):
+    """The JSON render as a document tree through json.dumps(indent=2)."""
+    doc = {
+        "params": {
+            "alpha": list(exp.alpha),
+            "beta": list(exp.beta),
+            "p": [_monomial_text(mono) for mono in exp.p],
+            "q": [_monomial_text(mono) for mono in exp.q],
+            "n": exp.n,
+        },
+        "bounds": {"S": exp.s_bound, "M": exp.m_bound},
+        "terms": [
+            {
+                "m": t.hbar,
+                "scalar": t.scalar,
+                "slots": [
+                    {"mult": mult, "monomial": {"x": mono.x, "y": mono.y}}
+                    for mult, mono in t.slots
+                ],
+            }
+            for t in exp.terms()
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def reference_text(exp):
+    """The text render with every slot's monomial rendered on its own."""
+    out = []
+    for t in exp.terms():
+        mults = ",".join(str(mult) for mult, _ in t.slots)
+        args = ",".join(_monomial_text(mono) for _, mono in t.slots)
+        body = f"e_({mults})({args})"
+        if t.scalar != 1:
+            body = f"{t.scalar} {body}"
+        if t.hbar == 1:
+            body += " h"
+        elif t.hbar > 1:
+            body += f" h^{t.hbar}"
+        out.append(body)
+    return " + ".join(out)
+
+
+def with_terms(exp, by_order):
+    return type(exp)(
+        exp.alpha, exp.beta, exp.p, exp.q, exp.n,
+        exp.s_bound, exp.m_bound, by_order,
+    )
+
+
+def writer_cases():
+    for spec in oracle_grid():
+        yield star_product(*spec)
+    worked = star_product(*WORKED)
+    yield with_terms(worked, {})
+    # zero margins: one term whose slot list is empty
+    yield star_product((0,), (0,), (Monomial2(1, 2),), (X,), 2)
+    yield with_terms(worked, {
+        0: [ETerm(0, 0, ())],
+        3: [
+            ETerm(3, -(10 ** 4400) - 7, canonical_slots(
+                [(2, Monomial2(0, 0)), (1, Monomial2(5, 1))]
+            )),
+            ETerm(3, 10 ** 5000, ((1, Y),)),
+        ],
+    })
+
+
+class TestWriter:
+    """render's direct writer, byte for byte against the document route."""
+
+    def test_json_bytes(self):
+        with _unlimited_int_digits():
+            for exp in writer_cases():
+                assert render(exp, "json") == reference_json(exp)
+
+    def test_text_bytes(self):
+        with _unlimited_int_digits():
+            for exp in writer_cases():
+                assert render(exp, "text") == reference_text(exp)
+
+    def test_empty_lists(self):
+        empty = star_product((0,), (0,), (Monomial2(1, 2),), (X,), 2)
+        assert '"slots": []' in render(empty, "json")
+        assert render(empty, "text") == "e_()()"
+        no_terms = with_terms(empty, {})
+        assert render(no_terms, "json").endswith('"terms": []\n}')
+
+    def test_unknown_format(self):
+        exp = star_product((1,), (1,), (Y,), (X,), 1)
+        with pytest.raises(ValueError):
+            render(exp, "yaml")

@@ -217,6 +217,15 @@ class TestEnumerateA:
                 encode(g) for g in enumerate_Q(alpha, beta, n, m)
             }
 
+    def test_depth_does_not_grow_with_m(self):
+        # one column, so one recursion, however many levels lie below it
+        assert enumerate_A((1,), (1,), 1, 100000) == [
+            ThreeWord(((100000, 2, 2),))
+        ]
+        assert len(enumerate_A((1,), (1,), 2, 3000)) == len(
+            enumerate_Q((1,), (1,), 2, 3000)
+        )
+
     def test_grid_bijection(self):
         for alpha, beta, n, m in combinatorial_grid(max_n=3, max_m=2):
             q_set = enumerate_Q(alpha, beta, n, m)
