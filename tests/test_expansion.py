@@ -247,13 +247,6 @@ class TestWriter:
             for exp in writer_cases():
                 assert render(exp, "text") == reference_text(exp)
 
-    def test_empty_lists(self):
-        empty = star_product((0,), (0,), (Monomial2(1, 2),), (X,), 2)
-        assert '"slots": []' in render(empty, "json")
-        assert render(empty, "text") == "e_()()"
-        no_terms = with_terms(empty, {})
-        assert render(no_terms, "json").endswith('"terms": []\n}')
-
     def test_unknown_format(self):
         exp = star_product((1,), (1,), (Y,), (X,), 1)
         with pytest.raises(ValueError):
