@@ -12,7 +12,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, perm
 
 
 @dataclass(frozen=True, order=True)
@@ -59,14 +58,17 @@ def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
     """All h-graded terms of the monomial star product p * q.
 
     Returns [(k, term)] for k = 0..min(p.y, q.x); the k = 0 coefficient is
-    always 1 and term k has total degree deg(p) + deg(q) - 2k.
+    always 1 and term k has total degree deg(p) + deg(q) - 2k.  The
+    coefficients C(d, k) (e)_k, with d = deg_y p and e = deg_x q, follow
+    the exact recurrence c_{k+1} = c_k (d - k)(e - k) / (k + 1).
     """
-    kmax = min(p.y, q.x)
+    d, e = p.y, q.x
     out = []
-    for k in range(kmax + 1):
-        coeff = comb(p.y, k) * perm(q.x, k)
-        mono = Monomial2(p.x + q.x - k, p.y + q.y - k)
+    coeff = 1
+    for k in range(min(d, e) + 1):
+        mono = Monomial2(p.x + e - k, d + q.y - k)
         out.append((k, ScaledMonomial(coeff, mono)))
+        coeff = coeff * (d - k) * (e - k) // (k + 1)
     return out
 
 

@@ -10,6 +10,7 @@ Gamma^k_ij is the power of h a term contributes, and the levelwise sum
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
 
 from .algebra import b_length
@@ -97,8 +98,9 @@ def _level_splits(total: int, top: int, budget: int):
     lexicographic order of counts.  Iterative, so a deep top costs no
     recursion: levels 0..top-1 form an odometer whose deepest digit that
     can take one more unit advances, and level top takes what is left.
-    Only lift uses it: the lift route places levels independently of
-    tables.level_stacks so that the two can check each other.
+    Only the lift route's placement walk uses it: that route places
+    levels independently of tables.level_stacks so that the two can check
+    each other.
     """
     counts = [0] * (top + 1)
     rem, w = total, 0  # units and weight of levels 0..top-1
@@ -138,74 +140,82 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     return out
 
 
+def _placements(gamma: MarginMatrix, top: int, caps, budget: int):
+    """Every placement of gamma's interior on levels, of weight <= budget.
+
+    Walks gamma's nonzero interior cells row-major; cell (i, j) (1-based)
+    spreads its units over levels 0..min(top, caps(i, j)), or 0..top when
+    caps is None, by _level_splits, and the boundary stays at level 0.
+    Yields (runs, weight), runs being the (k, i, j, v) runs CubicalMatrix
+    takes.  The one recursion of the lift route, independent of
+    tables.level_stacks; its depth is the number of nonzero cells.
+    """
+    cells = [
+        (i, j, gamma[i, j], top if caps is None else min(top, caps(i, j)))
+        for i in range(1, gamma.a + 1)
+        for j in range(1, gamma.b + 1)
+        if gamma[i, j]
+    ]
+    edge = [(0, i, 0, gamma[i, 0]) for i in range(1, gamma.a + 1)]
+    edge += [(0, 0, j, gamma[0, j]) for j in range(1, gamma.b + 1)]
+    chosen = [()] * len(cells)
+
+    def rec(idx: int, wleft: int):
+        if idx == len(cells):
+            yield edge + list(chain.from_iterable(chosen)), budget - wleft
+            return
+        i, j, units, cell_top = cells[idx]
+        for counts, w in _level_splits(units, cell_top, wleft):
+            chosen[idx] = [(k, i, j, c) for k, c in enumerate(counts) if c]
+            yield from rec(idx + 1, wleft - w)
+
+    yield from rec(0, budget)
+
+
 def lift(gamma: MarginMatrix, s: int, m: int,
          caps=None) -> list[CubicalMatrix]:
     """All cubical matrices of support s and weight m whose smash is gamma.
 
     Redistributes each interior entry into levels 0..s; the boundary stays
     at level 0.  With caps, cell (i, j) (1-based) uses levels up to
-    min(s, caps(i, j)) only.  Empty when no redistribution has weight m
-    with level s occupied.  An independent cross-check route: it does not
-    call tables.level_stacks.
+    min(s, caps(i, j)) only.  A filter on the placement walk: it keeps the
+    placements of weight m whose top occupied level is s, in to_vector
+    order.  An independent cross-check route: it does not call
+    tables.level_stacks.
     """
     if s > m:
         raise ValueError("support level cannot exceed the weight")
-    a, b = gamma.a, gamma.b
-    cells = [
-        (i, j, s if caps is None else min(s, caps(i, j)))
-        for i in range(1, a + 1)
-        for j in range(1, b + 1)
-        if gamma[i, j]
+    out = [
+        CubicalMatrix(gamma.a, gamma.b, runs)
+        for runs, w in _placements(gamma, s, caps, m)
+        if w == m and max(run[0] for run in runs) == s
     ]
-    edge = [(0, i, 0, gamma[i, 0]) for i in range(1, a + 1)]
-    edge += [(0, 0, j, gamma[0, j]) for j in range(1, b + 1)]
-    out = []
-    chosen = {}
-
-    def rec(idx: int, wrem: int):
-        if idx == len(cells):
-            if wrem != 0:
-                return
-            if s > 0 and not any(
-                len(c) > s and c[s] for c in chosen.values()
-            ):
-                return
-            out.append(CubicalMatrix(a, b, edge + [
-                (k, i, j, c)
-                for (i, j), counts in chosen.items()
-                for k, c in enumerate(counts)
-            ]))
-            return
-        i, j, top = cells[idx]
-        for counts, w in _level_splits(gamma[i, j], top, wrem):
-            chosen[(i, j)] = counts
-            rec(idx + 1, wrem - w)
-        chosen.pop((i, j), None)
-
-    if s == 0:
-        if m == 0:
-            out.append(from_margin(gamma))
-    elif any(top == s for _, _, top in cells):
-        rec(0, m)
     out.sort(key=lambda g: to_vector(g, levels=s + 1))
     return out
 
 
-def lift_all(alpha, beta, n, m, caps=None) -> list[CubicalMatrix]:
-    """Q(alpha, beta, n, m) built by lifting every classical matrix.
+def lift_all(alpha, beta, n, m, caps=None,
+             exact=True) -> list[CubicalMatrix]:
+    """Q(alpha, beta, n, m) built by lifting every classical matrix once.
 
     The cross-check route for enumerate_Q: the classical matrices come from
-    enumerate_L, but their levels are placed by lift, not by
-    tables.level_stacks; L itself is checked against words.enumerate_A.
-    caps is passed to lift; with None this is all of Q(m).
+    one enumerate_L call, but their levels are placed by the placement
+    walk, not by tables.level_stacks; L itself is checked against
+    words.enumerate_A.  Cell (i, j) uses levels up to min(m, caps(i, j)),
+    or up to m when caps is None.  exact keeps the lifts of weight m (with
+    no caps, all of Q(m)); exact=False keeps every lift of weight <= m,
+    as in tables.level_stacks.  In to_vector order.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
-    out = []
-    for gamma in enumerate_L(alpha, beta, n):
-        for s in range(m + 1):
-            out.extend(lift(gamma, s, m, caps))
+    a, b = len(alpha), len(beta)
+    out = [
+        CubicalMatrix(a, b, runs)
+        for gamma in enumerate_L(alpha, beta, n)
+        for runs, w in _placements(gamma, m, caps, m)
+        if w == m or not exact
+    ]
     out.sort(key=lambda g: to_vector(g, levels=m + 1))
     return out
 

@@ -104,9 +104,11 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
 
     The enumerate path makes one pass over the level stacks with the cap of
-    cell (i, j) at K_ij and weight at most M, so every matrix contributes;
-    the lift path lifts the classical matrices for each m with the same
-    caps, so it builds no vanishing term either.
+    cell (i, j) at K_ij and weight at most M, so every matrix contributes.
+    The lift path makes one lift_all call with the same caps and
+    exact=False: it lifts each classical matrix once to every weight up to
+    M, builds no vanishing term either, and places the levels without
+    tables.level_stacks, so the two paths check each other.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -127,10 +129,8 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
             for runs in level_stacks(alpha, beta, n, btable.k_max, m_bound)
         )
     else:
-        gammas = (
-            g
-            for m in range(m_bound + 1)
-            for g in lift_all(alpha, beta, n, m, btable.k_max)
+        gammas = lift_all(
+            alpha, beta, n, m_bound, btable.k_max, exact=False
         )
     by_order = {}
     for gamma in gammas:

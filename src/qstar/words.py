@@ -102,6 +102,20 @@ def encode(gamma: CubicalMatrix) -> ThreeWord:
     ))
 
 
+def check_columns(omega: ThreeWord) -> None:
+    """Raise ValueError unless every column has a cubical-matrix cell.
+
+    A column (s, 1, 1) would sit in the corner cell, and a column (s, i, j)
+    with s > 0 in row or column 1 would put a positive level on the
+    boundary; neither occurs in a word that encodes a matrix.
+    """
+    for t, (s, i, j) in enumerate(omega.columns, start=1):
+        if i == j == 1:
+            raise ValueError(f"column {t} is (s,1,1): no preimage")
+        if s > 0 and (i == 1 or j == 1):
+            raise ValueError(f"column {t} puts a positive level on the boundary")
+
+
 def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
     """Cubical matrix whose unit multiplicities match the word's columns.
 
@@ -112,11 +126,7 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
     bad = validate_word(omega)
     if bad is not None:
         raise ValueError(bad)
-    for t, (s, i, j) in enumerate(omega.columns, start=1):
-        if i == j == 1:
-            raise ValueError(f"column {t} is (s,1,1): no preimage")
-        if s > 0 and (i == 1 or j == 1):
-            raise ValueError(f"column {t} puts a positive level on the boundary")
+    check_columns(omega)
     if shape is not None:
         a, b = shape
         for t, (s, i, j) in enumerate(omega.columns, start=1):
@@ -135,7 +145,11 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
 
 
 def word_stats(omega: ThreeWord):
-    """(N, support, weight, alpha, beta) read off the word directly."""
+    """(N, support, weight, alpha, beta) read off the word directly.
+
+    Raises ValueError, as decode does, on a column with no matrix cell.
+    """
+    check_columns(omega)
     n_cols = len(omega)
     s = omega.columns[-1][0] if omega.columns else 0
     m = sum(col[0] for col in omega.columns)

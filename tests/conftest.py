@@ -96,3 +96,25 @@ def wide_margin_grid():
                     for _ in beta
                 )
                 yield alpha, beta, p, q, n
+
+
+def three_entry_grid():
+    """(alpha, beta, p, q, n) specs with three-entry margins of weight 5-6.
+
+    One seeded spec per pair of margins, n <= 7, exponents up to 3, with
+    its own Random so that the specs of the other grids do not move.
+    """
+    rng = random.Random(20261019)
+    margins = [(1, 1, 3), (1, 2, 2), (2, 2, 1), (1, 2, 3), (2, 2, 2)]
+    for alpha in margins:
+        for beta in margins:
+            n = rng.randint(max(sum(alpha), sum(beta)), 7)
+            p = tuple(
+                Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                for _ in alpha
+            )
+            q = tuple(
+                Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                for _ in beta
+            )
+            yield alpha, beta, p, q, n

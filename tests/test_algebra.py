@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from math import factorial
+from math import comb, factorial, perm
 
 from qstar.algebra import (
     Monomial2,
@@ -83,6 +83,15 @@ class TestStarPair:
 
     def test_beyond_range_is_absent(self):
         assert 2 not in dict(star_pair(M(2, 1), M(3, 0)))
+
+    def test_recurrence_matches_comb_perm(self):
+        # the kernel is built by c_{k+1} = c_k (d-k)(e-k)/(k+1)
+        pairs = [(d, e) for d in range(41) for e in range(41)] + [(3000, 3000)]
+        for d, e in pairs:
+            coeffs = [term.coeff for _, term in star_pair(M(1, d), M(e, 2))]
+            assert coeffs == [
+                comb(d, k) * perm(e, k) for k in range(min(d, e) + 1)
+            ], (d, e)
 
     @given(monomials, monomials)
     def test_length_and_leading_coeff(self, p, q):

@@ -240,6 +240,17 @@ class TestWord:
         assert code == 2
         assert "invalid word" in err
 
+    @pytest.mark.parametrize("word,err", [
+        ("(1,1,1)", "error: column 1 is (s,1,1): no preimage\n"),
+        ("(0,2,2);(1,1,1)", "error: column 2 is (s,1,1): no preimage\n"),
+        ("(1,2,1)", "error: column 1 puts a positive level on the boundary\n"),
+        ("(0,1,1)", "error: column 1 is (s,1,1): no preimage\n"),
+    ])
+    def test_stats_rejects_what_decode_rejects(self, capsys, word, err):
+        # stats used to print N=1 s=1 m=1 ... for words no matrix encodes
+        for action in ("stats", "decode"):
+            assert run(capsys, "word", action, word) == (2, "", err)
+
     def test_decode_index_outside_shape(self, capsys):
         code, out, err = run(
             capsys, "word", "decode", "(0,3,3)", "--shape", "1,1",

@@ -284,6 +284,25 @@ class TestLiftAll:
         ]
 
 
+    def test_weight_window_is_the_union_of_exact_weights(self):
+        # exact=False keeps every lift of weight <= budget in one pass
+        tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
+
+        def caps(i, j):
+            return tops[i, j]
+
+        for alpha, beta, n, budget in combinatorial_grid():
+            for cap in (None, caps):
+                union = [
+                    g for m in range(budget + 1)
+                    for g in lift_all(alpha, beta, n, m, cap)
+                ]
+                union.sort(key=lambda g: to_vector(g, levels=budget + 1))
+                assert lift_all(
+                    alpha, beta, n, budget, cap, exact=False
+                ) == union, (alpha, beta, n, budget, cap)
+
+
 class TestBounds:
     def test_worked_support(self):
         assert max_support(*WORKED[2:4]) == 1

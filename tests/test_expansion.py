@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+import qstar.cubes
 from conftest import WORKED, oracle_grid
 from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
-from qstar.cli import _unlimited_int_digits
+from qstar.cli import _unlimited_int_digits, main
 from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.expansion import (
     ETerm,
@@ -89,6 +90,43 @@ class TestStarProduct:
             a = star_product(*spec, path="enumerate")
             b = star_product(*spec, path="lift")
             assert a.canonical() == b.canonical()
+
+    def test_lift_path_enumerates_L_once(self, monkeypatch):
+        # one lift_all call up to M, where each m used to enumerate L anew;
+        # the levels are placed without tables.level_stacks
+        calls = []
+        original = qstar.cubes.enumerate_L
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the lift path called level_stacks")
+
+        monkeypatch.setattr(qstar.cubes, "enumerate_L", counted)
+        monkeypatch.setattr(qstar.cubes, "level_stacks", refused)
+        exp = star_product(*WORKED, path="lift")
+        assert exp.m_bound == 2
+        assert calls == [((1, 1), (2, 1), 4)]
+        monkeypatch.undo()
+        assert exp.canonical() == star_product(*WORKED).canonical()
+
+    def test_deep_single_cell_on_both_paths(self, capsys):
+        # y^K * x^K: one cell with K = M, which the lift path used to walk
+        # once per (m, s) pair
+        K = 1000
+        spec = ((1,), (1,), (Monomial2(0, K),), (Monomial2(K, 0),), 1)
+        lifted = star_product(*spec, path="lift")
+        assert lifted.canonical() == star_product(*spec).canonical()
+        assert len(lifted.canonical()) == K + 1
+        code = main([
+            "star", "--alpha", "1", "--beta", "1", "--p", f"y^{K}",
+            "--q", f"x^{K}", "--n", "1", "--path", "both",
+        ])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.count(" + ") == K
 
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED

@@ -6,7 +6,7 @@ from math import factorial, prod
 import pytest
 
 import qstar.oracle
-from conftest import WORKED, oracle_grid, wide_margin_grid
+from conftest import WORKED, oracle_grid, three_entry_grid, wide_margin_grid
 from qstar.algebra import Monomial2, star_pair
 from qstar.expansion import ETerm, star_product
 from qstar.oracle import (
@@ -248,6 +248,19 @@ class TestVerify:
             assert dropped.identity_ok != nontrivial, spec
             checked += nontrivial
         assert checked == 37
+
+    def test_three_entry_grid(self):
+        # three-entry margins of weight 5-6 at n <= 7, added beside the
+        # other grids; dropping the scalars fails exactly where some kernel
+        # coefficient is not 1
+        checked = 0
+        for spec in three_entry_grid():
+            assert verify(*spec).ok, spec
+            nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
+            dropped = verify(*spec, drop_scalars=True)
+            assert dropped.identity_ok != nontrivial, spec
+            checked += nontrivial
+        assert checked == 23
 
     def test_classical_negative_control(self, monkeypatch):
         # the h^0 slice is read from the LHS, so a wrong reference must
