@@ -283,7 +283,6 @@ class TestLiftAll:
                [[0, 0], [0, 0]], [[0, 0], [0, 1]])
         ]
 
-
     def test_weight_window_is_the_union_of_exact_weights(self):
         # exact=False keeps every lift of weight <= budget in one pass
         tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
