@@ -74,17 +74,20 @@ def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
 
 @dataclass(frozen=True)
 class BTable:
-    """The flattened argument table B(p, q).
+    """The flattened argument table B(p, q), keyed by cubical place.
 
-    Flat order is p's, then q's, then star pairs (i, j) row-major with the
-    h-grade k innermost.  star_entries maps (i, j, k), 1-based in i and j,
-    to the corresponding scaled monomial.
+    entries maps each place (k, i, j) of a cubical matrix, indexed as in
+    CubicalMatrix.entries (row 0 and column 0 the boundary), to the
+    argument a unit there contributes: (0, i, 0) to p_i, (0, 0, j) to q_j
+    and (k, i, j) to the star-kernel term of grade k for p_i * q_j, for
+    k <= K_ij, so an interior place missing from the map lies above K_ij.
+    The map is in flat order, which is also the by-pair vector layout:
+    p's, then q's, then the pairs (i, j) row-major with k innermost.
     """
 
     p_args: tuple[Monomial2, ...]
     q_args: tuple[Monomial2, ...]
-    star_entries: dict
-    flat_order: tuple
+    entries: dict
 
     @property
     def a(self) -> int:
@@ -95,50 +98,37 @@ class BTable:
         return len(self.q_args)
 
     def k_max(self, i: int, j: int) -> int:
-        """Highest h-grade with a nonzero entry for the pair (i, j)."""
+        """Highest h-grade K_ij with a nonzero entry for the pair (i, j)."""
         return min(self.p_args[i - 1].y, self.q_args[j - 1].x)
 
     def flat_entries(self) -> list[ScaledMonomial]:
-        out = []
-        for tag in self.flat_order:
-            if tag[0] == "p":
-                out.append(ScaledMonomial(1, self.p_args[tag[1] - 1]))
-            elif tag[0] == "q":
-                out.append(ScaledMonomial(1, self.q_args[tag[1] - 1]))
-            else:
-                out.append(self.star_entries[tag[1:]])
-        return out
+        return list(self.entries.values())
 
     def __len__(self) -> int:
-        return len(self.flat_order)
+        return len(self.entries)
 
 
 def build_B(p, q) -> BTable:
-    """Construct the B table for monomial lists p and q."""
+    """Construct the B table for monomial lists p and q, as in BTable."""
     p = tuple(p)
     q = tuple(q)
     if not p or not q:
         raise ValueError("p and q must be nonempty")
     entries = {}
-    order = [("p", i) for i in range(1, len(p) + 1)]
-    order += [("q", j) for j in range(1, len(q) + 1)]
+    for i, pi in enumerate(p, start=1):
+        entries[0, i, 0] = ScaledMonomial(1, pi)
+    for j, qj in enumerate(q, start=1):
+        entries[0, 0, j] = ScaledMonomial(1, qj)
     for i, pi in enumerate(p, start=1):
         for j, qj in enumerate(q, start=1):
             for k, term in star_pair(pi, qj):
-                entries[(i, j, k)] = term
-                order.append(("b", i, j, k))
-    return BTable(p, q, entries, tuple(order))
+                entries[k, i, j] = term
+    return BTable(p, q, entries)
 
 
 def b_length(p, q) -> int:
-    """Flat length of B(p, q) without building the table."""
-    p = tuple(p)
-    q = tuple(q)
-    if not p or not q:
-        raise ValueError("p and q must be nonempty")
-    return len(p) + len(q) + sum(
-        min(pi.y, qj.x) + 1 for pi in p for qj in q
-    )
+    """Flat length l(B) of B(p, q)."""
+    return len(build_B(p, q))
 
 
 class MonomialSyntaxError(ValueError):

@@ -211,6 +211,8 @@ def cmd_enum(args) -> int:
 
 
 def cmd_word(args) -> int:
+    if args.action == "stats" and args.shape is not None:
+        raise ValueError("word stats does not take --shape")
     if args.action == "encode":
         if args.shape is None:
             raise ValueError("encode requires --shape a,b")

@@ -264,53 +264,44 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     """Flatten a cubical matrix to an integer vector.
 
     by-level: boundary (column 0 then row 0) followed by the interior of
-    each level row-major; `levels` pads with zero levels.  by-pair: same
-    boundary prefix, then per (i, j) the entries k = 0..K_ij aligned with
-    the BTable flat order.  Each run is placed at its index; a run
-    outside the shape (the corner cell, a row or column past a or b) or
-    on the boundary above level 0 raises ValueError.
+    each level row-major; `levels` pads with zero levels.  by-pair: the
+    count at each place of btable.entries, in its flat order (boundary,
+    then per (i, j) the levels k = 0..K_ij).  A run outside the shape
+    (the corner cell, a row or column past a or b), on the boundary above
+    level 0 or, by-pair, in the interior above K_ij raises ValueError.
     """
     a, b = gamma.a, gamma.b
-    if layout == "by-level":
-        nlevels = max(gamma.support_level() + 1, levels or 1)
-        vec = [0] * (a + b + nlevels * a * b)
-
-        def index(k, i, j):
-            return a + b + (k * a + i - 1) * b + j - 1
-    elif layout == "by-pair":
+    by_pair = layout == "by-pair"
+    if by_pair:
         if btable is None:
             raise ValueError("by-pair layout requires a BTable")
-        kmax = {
-            (i, j): btable.k_max(i, j)
-            for i in range(1, a + 1)
-            for j in range(1, b + 1)
-        }
-        over = [(i, j, k) for k, i, j, _ in gamma.entries
-                if k > kmax.get((i, j), k)]  # others: shape check below
-        if over:
-            i, j, k = min(over)
-            raise ValueError(f"entry at level {k} exceeds K_{i}{j}={kmax[i, j]}")
-        start = {}  # vector index of each pair's k = 0 entry
-        pos = a + b
-        for cell, top in kmax.items():
-            start[cell] = pos
-            pos += top + 1
-        vec = [0] * pos
-
-        def index(k, i, j):
-            return start[i, j] + k
+        if (a, b) != (btable.a, btable.b):
+            raise ValueError("matrix dimensions do not match the BTable")
+        counts = {}
+    elif layout == "by-level":
+        nlevels = max(gamma.support_level() + 1, levels or 1)
+        vec = [0] * (a + b + nlevels * a * b)
     else:
         raise ValueError(f"unknown layout {layout!r}")
     for k, i, j, v in gamma.entries:
         if i > a or j > b or not (i or j):
             raise ValueError(f"run {k, i, j, v} is outside the shape {a},{b}")
-        if i and j:
-            vec[index(k, i, j)] = v
-        elif k:
+        if k and not (i and j):
             raise ValueError(f"boundary run {k, i, j, v} is above level 0")
+        if by_pair:
+            counts[k, i, j] = v
+        elif i and j:
+            vec[a + b + (k * a + i - 1) * b + j - 1] = v
         else:
             vec[i - 1 if i else a + j - 1] = v
-    return tuple(vec)
+    if not by_pair:
+        return tuple(vec)
+    vec = tuple(counts.pop(place, 0) for place in btable.entries)
+    if counts:  # interior runs with no place: units above K_ij
+        i, j, k = min((i, j, k) for k, i, j in counts)
+        top = btable.k_max(i, j)
+        raise ValueError(f"entry at level {k} exceeds K_{i}{j}={top}")
+    return vec
 
 
 def from_vector(vec, layout: str = "by-level", shape=None,
@@ -333,23 +324,24 @@ def from_vector(vec, layout: str = "by-level", shape=None,
         raise ValueError(f"unknown layout {layout!r}")
     if len(vec) < a + b:
         raise ValueError("vector shorter than its a+b boundary")
-    body = vec[a + b:]
-    cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    if layout == "by-level":
-        if len(body) % (a * b) != 0:
-            raise ValueError("vector length does not fit the shape")
-        places = [
-            (k, i, j) for k in range(len(body) // (a * b)) for i, j in cells
-        ]
-    else:
-        places = [
-            (k, i, j) for i, j in cells for k in range(btable.k_max(i, j) + 1)
-        ]
-        if len(body) < len(places):
+    if layout == "by-pair":
+        if len(vec) < len(btable):
             raise ValueError("vector too short for the BTable")
-        if len(body) > len(places):
+        if len(vec) > len(btable):
             raise ValueError("vector too long for the BTable")
-    runs = [(0, i, 0, v) for i, v in enumerate(vec[:a], start=1)]
-    runs += [(0, 0, j, v) for j, v in enumerate(vec[a:a + b], start=1)]
-    runs += [place + (v,) for place, v in zip(places, body)]
-    return CubicalMatrix(a, b, runs)
+        places = btable.entries
+    else:
+        nlevels, rest = divmod(len(vec) - a - b, a * b)
+        if rest:
+            raise ValueError("vector length does not fit the shape")
+        places = [(0, i, 0) for i in range(1, a + 1)]
+        places += [(0, 0, j) for j in range(1, b + 1)]
+        places += [
+            (k, i, j)
+            for k in range(nlevels)
+            for i in range(1, a + 1)
+            for j in range(1, b + 1)
+        ]
+    return CubicalMatrix(
+        a, b, [place + (v,) for place, v in zip(places, vec)]
+    )

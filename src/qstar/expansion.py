@@ -1,7 +1,7 @@
 """Assembly of symbolic star-product terms from cubical matrices.
 
 Each cubical matrix contributes one elementary multisymmetric term whose
-arguments are read off the B table semantically, by position (i, j, k).
+arguments are read off the B table at the places (k, i, j) of its runs.
 Star-kernel coefficients enter the term scalar raised to the slot
 multiplicity; a matrix with a unit above the pair's top grade K_ij
 contributes nothing.
@@ -79,24 +79,27 @@ class StarExpansion:
 
 
 def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
-    """One symbolic term per matrix, or None when the term vanishes."""
-    if gamma.a != btable.a or gamma.b != btable.b:
+    """One symbolic term per matrix, or None when the term vanishes.
+
+    Run (k, i, j, v) takes the argument at place (k, i, j) of
+    btable.entries v times.  An interior run with no place is a unit above
+    K_ij, so the term vanishes; any other run with no place raises.
+    """
+    a, b = gamma.a, gamma.b
+    if a != btable.a or b != btable.b:
         raise ValueError("matrix dimensions do not match the BTable")
     slots = []
     scalar = 1
     hbar = 0
     for k, i, j, v in gamma.entries:
-        if i == 0:
-            slots.append((v, btable.q_args[j - 1]))
-        elif j == 0:
-            slots.append((v, btable.p_args[i - 1]))
-        elif k > btable.k_max(i, j):
-            return None
-        else:
-            entry = btable.star_entries[(i, j, k)]
-            scalar *= entry.coeff ** v
-            slots.append((v, entry.mono))
-            hbar += k * v
+        entry = btable.entries.get((k, i, j))
+        if entry is None:
+            if 0 < i <= a and 0 < j <= b:
+                return None
+            raise ValueError(f"run {k, i, j, v} is outside the shape {a},{b}")
+        scalar *= entry.coeff ** v
+        slots.append((v, entry.mono))
+        hbar += k * v
     return ETerm(hbar, scalar, canonical_slots(slots), gamma)
 
 

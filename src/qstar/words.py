@@ -59,6 +59,21 @@ def validate_word(omega: ThreeWord) -> str | None:
     return None
 
 
+def _cell_condition(s: int, i: int, j: int) -> str | None:
+    """The column condition that (s, i, j) breaks, None if it has a cell.
+
+    The one statement of the rule that a word's columns need a
+    cubical-matrix cell: "(i)" when the column (s, 1, 1) would sit in the
+    corner cell, which has no preimage; "(ii)" when s > 0 in row or
+    column 1 would put a positive level on the boundary.
+    """
+    if i == j == 1:
+        return "(i)"
+    if s > 0 and (i == 1 or j == 1):
+        return "(ii)"
+    return None
+
+
 def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
     """Membership check for A(alpha, beta, n, m); None means ok."""
     alpha = tuple(alpha)
@@ -68,10 +83,11 @@ def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
         return bad
     if len(omega) > n:
         return f"word has {len(omega)} columns, more than n={n}"
-    for t, (s, i, j) in enumerate(omega.columns, start=1):
-        if i == j == 1:
+    for t, col in enumerate(omega.columns, start=1):
+        broken = _cell_condition(*col)
+        if broken == "(i)":
             return f"condition (i) at t={t}: column (s,1,1) has no preimage"
-        if s > 0 and (i == 1 or j == 1):
+        if broken:
             return f"condition (ii) at t={t}: positive level on the boundary"
     total = sum(col[0] for col in omega.columns)
     if total != m:
@@ -103,16 +119,12 @@ def encode(gamma: CubicalMatrix) -> ThreeWord:
 
 
 def check_columns(omega: ThreeWord) -> None:
-    """Raise ValueError unless every column has a cubical-matrix cell.
-
-    A column (s, 1, 1) would sit in the corner cell, and a column (s, i, j)
-    with s > 0 in row or column 1 would put a positive level on the
-    boundary; neither occurs in a word that encodes a matrix.
-    """
-    for t, (s, i, j) in enumerate(omega.columns, start=1):
-        if i == j == 1:
+    """Raise ValueError unless every column has a cubical-matrix cell."""
+    for t, col in enumerate(omega.columns, start=1):
+        broken = _cell_condition(*col)
+        if broken == "(i)":
             raise ValueError(f"column {t} is (s,1,1): no preimage")
-        if s > 0 and (i == 1 or j == 1):
+        if broken:
             raise ValueError(f"column {t} puts a positive level on the boundary")
 
 
@@ -179,16 +191,13 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
     a, b = len(alpha), len(beta)
-    candidates = sorted(
-        [
-            (s, i, j)
-            for s in range(m + 1)
-            for i in range(1, a + 2)
-            for j in range(1, b + 2)
-            if not (i == j == 1)
-            and not (s > 0 and (i == 1 or j == 1))
-        ]
-    )
+    candidates = [
+        (s, i, j)
+        for s in range(m + 1)
+        for i in range(1, a + 2)
+        for j in range(1, b + 2)
+        if _cell_condition(s, i, j) is None
+    ]
     out = []
     for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
         ti = [0, n_cols - weight(alpha)] + list(alpha)  # ti[v]: row-2 value v

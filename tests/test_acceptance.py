@@ -226,7 +226,7 @@ def test_criterion_4_combinatorial_propositions():
         btable = build_B(p, q)
         sweep = max_order(
             alpha, beta, n,
-            max(k for (_, _, k) in btable.star_entries),
+            max(k for k, _, _ in btable.entries),
         )
         top_support = -1
         for m in range(max(m_bound, sweep) + 2):

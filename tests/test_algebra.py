@@ -143,7 +143,7 @@ class TestBuildB:
         table = build_B((M(2, 1), M(0, 2)), (M(1, 1), M(3, 0)))
         for i in range(1, 3):
             for j in range(1, 3):
-                assert table.star_entries[(i, j, 0)].coeff == 1
+                assert table.entries[(0, i, j)].coeff == 1
 
 
 class TestBLength:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstar import cli
+from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
 
 WORKED_FLAGS = [
@@ -288,6 +292,14 @@ class TestWord:
         assert out == ""
         assert err == f"error: shape '{shape}' needs two entries a,b\n"
 
+    def test_stats_refuses_shape(self, capsys):
+        # stats used to ignore --shape and exit 0
+        code, out, err = run(
+            capsys, "word", "stats", "(0,2,2)", "--shape", "5,5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: word stats does not take --shape\n"
+
 
 class TestVerify:
     def test_worked_example(self, capsys):
@@ -389,3 +401,113 @@ class TestDeterminism:
             _, out, _ = run(capsys, "star", *WORKED_FLAGS, "--format", "json")
             outputs.add(out)
         assert len(outputs) == 1
+
+
+# Malformed tokens, drawn in place of a value.  Large numbers are left out
+# on purpose: a valid large n, m or vector entry is a slow input, not a
+# bad one.
+GARBAGE = st.sampled_from([
+    "", " ", "x", "-1", "-x", "--", "1,,2", "1.5", ",", "()", "a,b",
+    "x^-1", "2x", "y^", "(0,1,1", "(1,1);", "1,-2", "0x1", "\u00e9",
+])
+
+
+def _or_garbage(valid):
+    """Mostly valid values, garbage one time in eight."""
+    return st.integers(0, 7).flatmap(lambda r: GARBAGE if r == 7 else valid)
+
+
+def _csv(values, max_size=2):
+    return st.lists(values, min_size=1, max_size=max_size).map(
+        lambda vs: ",".join(map(str, vs))
+    )
+
+
+_MONOMIAL = st.builds(
+    lambda x, y: render_monomial(ScaledMonomial(1, Monomial2(x, y))),
+    st.integers(0, 3), st.integers(0, 3),
+)
+_COLUMNS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 3), st.integers(1, 3)),
+    max_size=4,
+).map(lambda cols: ";".join(f"({s},{i},{j})" for s, i, j in cols))
+_VECTOR = st.lists(st.integers(0, 2), max_size=12).map(
+    lambda vs: ",".join(map(str, vs))
+)
+
+# Every option of the real subcommands but --output; None marks a flag.
+OPTIONS = {
+    "--alpha": _or_garbage(_csv(st.integers(0, 2))),
+    "--beta": _or_garbage(_csv(st.integers(0, 2))),
+    "--n": _or_garbage(st.integers(0, 4).map(str)),
+    "--p": _or_garbage(_csv(_MONOMIAL)),
+    "--q": _or_garbage(_csv(_MONOMIAL)),
+    "--m": _or_garbage(st.integers(0, 3).map(str)),
+    "--levels": _or_garbage(st.integers(0, 3).map(str)),
+    "--layout": _or_garbage(st.sampled_from(["by-level", "by-pair"])),
+    "--shape": _or_garbage(_csv(st.integers(0, 2), max_size=3)),
+    "--format": _or_garbage(st.sampled_from(["text", "json"])),
+    "--path": _or_garbage(st.sampled_from(["enumerate", "lift", "both"])),
+    "--count-only": None,
+    "--inject-drop-scalar": None,
+}
+SPEC = ("--alpha", "--beta", "--n")
+# subcommand -> (positionals, options it requires, options it may take)
+COMMANDS = {
+    "star": ((), SPEC + ("--p", "--q"), ("--path", "--format")),
+    "verify": ((), SPEC + ("--p", "--q"), ("--inject-drop-scalar",)),
+    "enum": (
+        (_or_garbage(st.sampled_from(["L", "Q", "A"])),),
+        SPEC,
+        ("--m", "--p", "--q", "--layout", "--levels", "--count-only"),
+    ),
+    "word": (
+        (
+            _or_garbage(st.sampled_from(["encode", "decode", "stats"])),
+            _or_garbage(st.one_of(_COLUMNS, _VECTOR)),
+        ),
+        (),
+        ("--shape",),
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    """An argv for a real subcommand: its positionals, nearly always the
+    options it requires, some it may take and now and then any other."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, required, optional = COMMANDS[command]
+    names = [name for name in required if draw(st.integers(0, 19)) < 19]
+    names += [name for name in optional if draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 3:
+        names.append(draw(st.sampled_from(sorted(OPTIONS))))
+    argv = [command] + [draw(values) for values in positionals]
+    for name in draw(st.permutations(names)):
+        argv.append(name)
+        if OPTIONS[name] is not None:
+            argv.append(draw(OPTIONS[name]))
+    return argv
+
+
+class TestProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_every_call_ends_in_a_documented_way(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                assert exc.code == 2
+                assert "usage:" in err.getvalue()
+                code = None
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code is not None:
+            assert code in (0, 1, 2, 3)
+            if code in (0, 1):
+                assert err == ""
+            else:
+                assert err.startswith("error: ")
+                assert err.count("\n") == 1 and err.endswith("\n")

@@ -381,7 +381,7 @@ class TestVectorCodec:
     def test_by_pair_round_trip(self, case):
         g, btable = case
         vec = to_vector(g, layout="by-pair", btable=btable)
-        assert len(vec) == len(btable.flat_order)
+        assert len(vec) == len(btable)
         assert from_vector(vec, layout="by-pair", btable=btable) == g
 
     def test_length_mismatch(self):

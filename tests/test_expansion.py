@@ -62,6 +62,16 @@ class TestGammaToETerm:
         with pytest.raises(ValueError):
             gamma_to_eterm(gamma, btable)
 
+    @pytest.mark.parametrize("run", [
+        (0, 0, 0, 1),  # the corner cell
+        (1, 0, 1, 1),  # the boundary above level 0
+        (0, 2, 0, 1),  # a row past a
+    ])
+    def test_run_outside_the_shape(self, run):
+        btable = build_B((X,), (Y,))
+        with pytest.raises(ValueError, match="is outside the shape 1,1"):
+            gamma_to_eterm(CubicalMatrix(1, 1, (run,)), btable)
+
 
 class TestStarProduct:
     def test_noncommuting_pair(self):
