@@ -357,6 +357,23 @@ class TestVectorCodec:
         with pytest.raises(ValueError):
             to_vector(g, layout="by-pair", btable=btable)
 
+    @pytest.mark.parametrize("runs,message", [
+        (((0, 0, 0, 1),), r"run \(0, 0, 0, 1\) is outside the shape 1,1"),
+        (((1, 0, 1, 2),), r"boundary run \(1, 0, 1, 2\) is above level 0"),
+        (((2, 1, 1, 1), (3, 1, 1, 1)), "entry at level 2 exceeds K_11=1"),
+    ])
+    def test_by_pair_error_messages(self, runs, message):
+        btable = build_B((Y,), (X,))
+        with pytest.raises(ValueError, match=message):
+            to_vector(CubicalMatrix(1, 1, runs), "by-pair", btable)
+
+    def test_by_pair_rejects_a_table_of_another_shape(self):
+        # the table's layout would place the runs of another shape wrongly
+        g = mk([[0, 1], [1, 0]])
+        btable = build_B((Y, Y), (X,))
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            to_vector(g, layout="by-pair", btable=btable)
+
     def test_round_trips(self):
         btable = build_B(WORKED[2], WORKED[3])
         for m in range(3):
