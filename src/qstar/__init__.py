@@ -19,8 +19,6 @@ from .cubes import (
     contributing_support,
     max_order,
     max_support,
-    smash,
-    support_level,
     to_vector,
 )
 from .expansion import ETerm, StarExpansion, gamma_to_eterm, render, star_product

@@ -12,18 +12,27 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Monomial2:
-    """A monomial x^x_exp * y^y_exp with nonnegative exponents."""
-
+class _Exponents(NamedTuple):
     x: int = 0
     y: int = 0
 
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
+
+class Monomial2(_Exponents):
+    """A monomial x^x_exp * y^y_exp with nonnegative exponents.
+
+    A tuple (x, y), so monomials compare and hash in C; the tuple's + and
+    repetition raise TypeError rather than act on the exponents.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int = 0, y: int = 0):
+        if x < 0 or y < 0:
             raise ValueError("monomial exponents must be nonnegative")
+        return super().__new__(cls, x, y)
 
     def degree(self) -> int:
         return self.x + self.y
@@ -32,10 +41,10 @@ class Monomial2:
         # commutative (classical) product
         return Monomial2(self.x + other.x, self.y + other.y)
 
+    def __add__(self, other):
+        raise TypeError("monomials neither add nor repeat")
 
-def monomial_key(m: Monomial2) -> tuple:
-    """Canonical ordering key: total degree, then x, then y exponent."""
-    return (m.degree(), m.x, m.y)
+    __rmul__ = __add__
 
 
 @dataclass(frozen=True)

@@ -86,28 +86,18 @@ def _unlimited_int_digits():
 
 
 def _parse_word(text: str) -> words.ThreeWord:
+    """Parse "(s,i,j);(s,i,j);..." columns; blank text is the empty word."""
     text = text.strip()
     if not text:
         return words.ThreeWord(())
-    if "\n" in text:
-        rows = [
-            [int(v) for v in line.split(",")]
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        if len(rows) != 3 or len({len(r) for r in rows}) != 1:
-            raise ValueError("expected three equal-length rows")
-        cols = tuple(zip(*rows))
-    else:
-        cols = []
-        for chunk in text.split(";"):
-            chunk = chunk.strip().strip("()")
-            parts = [int(v) for v in chunk.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"bad word column {chunk!r}")
-            cols.append(tuple(parts))
-        cols = tuple(cols)
-    return words.ThreeWord(cols)
+    cols = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip().strip("()")
+        parts = [int(v) for v in chunk.split(",")]
+        if len(parts) != 3:
+            raise ValueError(f"bad word column {chunk!r}")
+        cols.append(tuple(parts))
+    return words.ThreeWord(tuple(cols))
 
 
 def _render_word(omega: words.ThreeWord) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import ceil
+from operator import itemgetter
 
 from .algebra import b_length
 from .tables import (
@@ -42,7 +43,7 @@ class CubicalMatrix:
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
             raise ValueError("shape entries must be positive")
-        runs = tuple(sorted(run for run in self.entries if run[3]))
+        runs = tuple(sorted(filter(itemgetter(3), self.entries)))
         object.__setattr__(self, "entries", runs)
 
     @classmethod
@@ -81,14 +82,6 @@ class CubicalMatrix:
 def from_margin(gamma: MarginMatrix) -> CubicalMatrix:
     """Embed a classical matrix as a single level-0 cubical matrix."""
     return CubicalMatrix.from_levels((gamma.rows,))
-
-
-def smash(gamma: CubicalMatrix) -> MarginMatrix:
-    return gamma.smash()
-
-
-def support_level(gamma: CubicalMatrix) -> int:
-    return gamma.support_level()
 
 
 def _level_splits(total: int, top: int, budget: int):

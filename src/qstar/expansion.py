@@ -17,7 +17,6 @@ from .algebra import (
     Monomial2,
     ScaledMonomial,
     build_B,
-    monomial_key,
     render_monomial,
 )
 from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
@@ -25,10 +24,13 @@ from .tables import level_stacks, weight
 
 
 def canonical_slots(slots) -> tuple:
-    """Sort (multiplicity, monomial) slots; equal monomials stay separate."""
-    return tuple(
-        sorted(slots, key=lambda s: (monomial_key(s[1]), s[0]))
-    )
+    """Sort (multiplicity, monomial) slots; equal monomials stay separate.
+
+    The order is total degree, then x, then y, then multiplicity, sorted
+    as plain tuples with no key function.
+    """
+    keyed = sorted([(mono.x + mono.y, mono, mult) for mult, mono in slots])
+    return tuple([(mult, mono) for _, mono, mult in keyed])
 
 
 @dataclass(frozen=True)

@@ -100,23 +100,8 @@ class NPoly:
             if key[-1] == k
         })
 
-    def has_hbar(self) -> bool:
-        return any(key[-1] for key in self.terms)
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def permute_copies(self, perm_map) -> "NPoly":
-        """Apply a permutation of copy indices; perm_map[i] is 0-based."""
-        out = {}
-        for key, c in self.terms.items():
-            new = [0] * (2 * self.n + 1)
-            for i in range(self.n):
-                new[perm_map[i]] = key[i]
-                new[self.n + perm_map[i]] = key[self.n + i]
-            new[-1] = key[-1]
-            out[tuple(new)] = c
-        return NPoly(self.n, out)
 
     def __repr__(self) -> str:
         return f"NPoly(n={self.n}, {len(self.terms)} terms)"
@@ -242,7 +227,7 @@ def poisson(f: NPoly, g: NPoly) -> NPoly:
     """Canonical bracket sum_i (dx_i f dy_i g - dy_i f dx_i g)."""
     if f.n != g.n:
         raise ValueError("mismatched number of copies")
-    if f.has_hbar() or g.has_hbar():
+    if any(key[-1] for key in chain(f.terms, g.terms)):
         raise ValueError("poisson bracket requires h-free inputs")
     out = NPoly.zero(f.n)
     for i in range(1, f.n + 1):

@@ -75,20 +75,37 @@ def level_stacks(alpha, beta, n, caps, budget, exact=False):
 
     Walks the interior cells (i, j) row-major; cell (i, j) takes t units,
     t at most both residual margins, placed as a multiset of t levels drawn
-    from 0..min(caps(i, j), weight left).  A multiset is a bounded
-    combination, so no recursion grows with the caps.  The residual margins
-    form the level-0 boundary.  Yields every stack of total at most n and
-    weight at most budget (exactly budget when exact) as a list of
-    (k, i, j, v) runs, unsorted and possibly with v = 0 on the boundary,
-    which is the input CubicalMatrix takes; caps is called with 1-based
-    (i, j).
+    from 0..min(caps(i, j), weight left).  Each cell's multisets are built
+    once per call, as pieces[cell][t]: the (weight, runs) of each multiset
+    of levels up to min(caps(i, j), budget), in
+    combinations_with_replacement order, that some stack can use (weight
+    at most budget and, when exact, at least what the other cells cannot
+    take); a visit keeps those within the weight left.  No recursion grows
+    with the caps.  The residual margins form the level-0 boundary.  Yields
+    every stack of total at most n and weight at most budget (exactly
+    budget when exact) as a list of (k, i, j, v) runs, unsorted and
+    possibly with v = 0 on the boundary, which is the input CubicalMatrix
+    takes; caps is called with 1-based (i, j).
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
     a, b = len(alpha), len(beta)
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    tops = [caps(i, j) for i, j in cells]
+    tops = [min(caps(i, j), budget) for i, j in cells]
+    most = [top * min(alpha[i - 1], beta[j - 1])
+            for top, (i, j) in zip(tops, cells)]
+    pieces = []
+    for top, most_here, (i, j) in zip(tops, most, cells):
+        least = budget - sum(most) + most_here if exact else 0
+        by_t = []
+        for t in range(min(alpha[i - 1], beta[j - 1]) + 1):
+            by_t.append([
+                (w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
+                for combo in combinations_with_replacement(range(top + 1), t)
+                if least <= (w := sum(combo)) <= budget
+            ])
+        pieces.append(by_t)
     # total = |alpha| + |beta| - (interior units), so total <= n needs this
     min_units = weight(alpha) + weight(beta) - n
     ra = list(alpha)
@@ -104,17 +121,13 @@ def level_stacks(alpha, beta, n, caps, budget, exact=False):
                 yield runs
             return
         i, j = cells[idx]
-        choices = range(min(tops[idx], wleft) + 1)
+        by_t = pieces[idx]
         for t in range(min(ra[i - 1], rb[j - 1]) + 1):
             ra[i - 1] -= t
             rb[j - 1] -= t
-            for combo in combinations_with_replacement(choices, t):
-                w = sum(combo)
+            for w, runs in by_t[t]:
                 if w <= wleft:
-                    picks[idx] = [
-                        (k, i, j, len(list(units_at_k)))
-                        for k, units_at_k in groupby(combo)
-                    ]
+                    picks[idx] = runs
                     yield from walk(idx + 1, wleft - w, units + t)
             ra[i - 1] += t
             rb[j - 1] += t

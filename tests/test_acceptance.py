@@ -28,8 +28,6 @@ from qstar.cubes import (
     lift_all,
     max_order,
     max_support,
-    smash,
-    support_level,
     to_vector,
 )
 from qstar.expansion import gamma_to_eterm, star_product
@@ -181,7 +179,7 @@ def test_criterion_4_combinatorial_propositions():
     for alpha, beta, n, m in combinatorial_grid():
         classical = enumerate_L(alpha, beta, n)
         q_set = enumerate_Q(alpha, beta, n, m)
-        supports = [support_level(g) for g in q_set]
+        supports = [g.support_level() for g in q_set]
         if not all(0 <= s <= m for s in supports):
             failures.append(("support partition", alpha, beta, n, m))
         if lift_all(alpha, beta, n, m) != q_set:
@@ -189,7 +187,7 @@ def test_criterion_4_combinatorial_propositions():
         if m >= 1:
             # weight m >= 1 needs a unit at a level k >= 1, and only
             # interior cells have such levels
-            smashes = {smash(g) for g in q_set}
+            smashes = {g.smash() for g in q_set}
             reachable = {g for g in classical if g.interior_sum() >= 1}
             if smashes != reachable:
                 failures.append((
@@ -233,7 +231,7 @@ def test_criterion_4_combinatorial_propositions():
             for g in enumerate_Q(alpha, beta, n, m):
                 if gamma_to_eterm(g, btable) is None:
                     continue
-                s = support_level(g)
+                s = g.support_level()
                 top_support = max(top_support, s)
                 where = (alpha, beta, p, q, n, m, to_vector(g))
                 if s > s_sharp:
@@ -267,7 +265,7 @@ def test_criterion_4_combinatorial_propositions():
     terms = list(exp.terms())
     kept = [
         term for term in terms
-        if support_level(term.origin) <= s_paper and term.hbar <= m_paper
+        if term.origin.support_level() <= s_paper and term.hbar <= m_paper
     ]
     truncated = expand_terms(kept, n)
     full = expand_terms(terms, n)

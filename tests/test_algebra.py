@@ -25,6 +25,42 @@ def M(x, y):
     return Monomial2(x, y)
 
 
+class TestMonomial2:
+    def test_fields_and_repr(self):
+        m = M(1, 2)
+        assert (m.x, m.y) == (1, 2)
+        assert m.degree() == 3
+        assert repr(m) == "Monomial2(x=1, y=2)"
+        assert Monomial2() == M(0, 0)
+
+    def test_order_is_x_then_y(self):
+        monos = [M(x, y) for x in range(3) for y in range(3)]
+        shuffled = monos[::-1]
+        assert sorted(shuffled) == monos
+        assert M(0, 5) < M(1, 0) < M(1, 1)
+
+    def test_hash_and_equality(self):
+        assert M(1, 2) == M(1, 2) and M(1, 2) != M(2, 1)
+        assert hash(M(1, 2)) == hash((1, 2))  # the frozen dataclass's hash
+        assert len({M(1, 2), M(1, 2), M(2, 1)}) == 2
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError):
+            M(-1, 0)
+        with pytest.raises(ValueError):
+            M(0, -2)
+
+    def test_product(self):
+        assert M(1, 2) * M(3, 0) == M(4, 2)
+        assert isinstance(M(1, 2) * M(3, 0), Monomial2)
+
+    @pytest.mark.parametrize("op", [lambda m: m + m, lambda m: 3 * m])
+    def test_tuple_arithmetic_refused(self, op):
+        # a tuple would concatenate or repeat the exponents
+        with pytest.raises(TypeError):
+            op(M(1, 2))
+
+
 class TestParse:
     def test_worked_input(self):
         assert parse_monomial("x^2y") == ScaledMonomial(1, M(2, 1))

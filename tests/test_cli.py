@@ -292,6 +292,16 @@ class TestWord:
         assert out == ""
         assert err == f"error: shape '{shape}' needs two entries a,b\n"
 
+    @pytest.mark.parametrize("action", ["encode", "decode", "stats"])
+    def test_three_row_input_is_refused(self, capsys, action):
+        # the undocumented rows form "s,...\ni,...\nj,..." is not a word
+        rows = "0,1,1\n3,2,2\n3,2,3"
+        extra = ["--shape", "2,2"] if action == "encode" else []
+        code, out, err = run(capsys, "word", action, rows, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_stats_refuses_shape(self, capsys):
         # stats used to ignore --shape and exit 0
         code, out, err = run(

@@ -15,8 +15,6 @@ from qstar.cubes import (
     lift_all,
     max_order,
     max_support,
-    smash,
-    support_level,
     to_vector,
 )
 from qstar.tables import MarginMatrix, enumerate_L, interior_support_count
@@ -139,33 +137,33 @@ class TestEntries:
 
 class TestSupportLevel:
     def test_classical_is_support_zero(self):
-        assert support_level(SEC2_CLASSICAL) == 0
+        assert SEC2_CLASSICAL.support_level() == 0
 
     def test_lifted_is_support_one(self):
-        assert support_level(SEC2_LIFTED) == 1
+        assert SEC2_LIFTED.support_level() == 1
 
     def test_lift_has_stated_support(self):
         gamma = MarginMatrix(((0, 0, 0), (0, 0, 2), (0, 1, 0)))
         for s in (1, 2):
             for g in lift(gamma, s, s):
-                assert support_level(g) == s
+                assert g.support_level() == s
 
 
 class TestSmash:
     def test_smash_example(self):
-        assert smash(SEC2_LIFTED) == MarginMatrix(
+        assert SEC2_LIFTED.smash() == MarginMatrix(
             ((0, 1, 0), (0, 1, 0), (0, 0, 1))
         )
 
     def test_single_level(self):
-        assert smash(SEC2_CLASSICAL) == MarginMatrix(
+        assert SEC2_CLASSICAL.smash() == MarginMatrix(
             ((0, 1, 0), (0, 1, 0), (0, 0, 1))
         )
 
     def test_lands_in_L(self):
         classical = set(enumerate_L((1, 1), (2, 1), 4))
         for g in enumerate_Q((1, 1), (2, 1), 4, 1):
-            assert smash(g) in classical
+            assert g.smash() in classical
 
 
 class TestLift:
@@ -218,8 +216,8 @@ class TestLift:
             for s in range(3):
                 for m in range(s, 4):
                     for g in lift(gamma, s, m):
-                        assert smash(g) == gamma
-                        assert support_level(g) == s
+                        assert g.smash() == gamma
+                        assert g.support_level() == s
                         assert g.weight() == m
 
 
@@ -380,7 +378,7 @@ class TestVectorCodec:
             for g in enumerate_Q((1, 1), (2, 1), 4, m):
                 vec = to_vector(g)
                 assert from_vector(vec, shape=(2, 2)) == g
-                if support_level(g) <= 1:
+                if g.support_level() <= 1:
                     vec2 = to_vector(g, layout="by-pair", btable=btable)
                     assert from_vector(vec2, layout="by-pair", btable=btable) == g
 
@@ -436,7 +434,7 @@ class TestGridProperties:
             # disjoint union over supports 0..m
             by_support = {}
             for g in q_set:
-                by_support.setdefault(support_level(g), []).append(g)
+                by_support.setdefault(g.support_level(), []).append(g)
             assert all(0 <= s <= m for s in by_support)
             assert sum(len(v) for v in by_support.values()) == len(q_set)
             # lift route gives the same set
@@ -444,7 +442,7 @@ class TestGridProperties:
             if m >= 1:
                 # positive weight needs a raised interior unit, so matrices
                 # whose interior is all zero are unreachable
-                smashes = {smash(g) for g in q_set}
+                smashes = {g.smash() for g in q_set}
                 expected = {
                     g
                     for g in enumerate_L(alpha, beta, n)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,30 @@ Y = Monomial2(0, 1)
 
 def mk(*levels):
     return CubicalMatrix.from_levels(levels)
+
+
+def reference_canonical_slots(slots):
+    """The slot order as a key sort: total degree, x, y, multiplicity."""
+    return tuple(
+        sorted(slots, key=lambda s: ((s[1].degree(), s[1].x, s[1].y), s[0]))
+    )
+
+
+class TestCanonicalSlots:
+    def test_matches_key_sort(self):
+        rng = random.Random(11)
+        monos = [Monomial2(x, y) for x in range(4) for y in range(4)]
+        for _ in range(500):
+            pool = rng.sample(monos, rng.randint(1, 4))  # forces repeats
+            slots = [
+                (rng.randint(1, 3), rng.choice(pool))
+                for _ in range(rng.randint(0, 9))
+            ]
+            assert canonical_slots(slots) == reference_canonical_slots(slots)
+
+    def test_equal_monomials_stay_separate(self):
+        slots = [(2, X), (1, Y), (1, X)]
+        assert canonical_slots(slots) == ((1, Y), (1, X), (2, X))
 
 
 class TestGammaToETerm:

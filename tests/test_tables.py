@@ -1,6 +1,8 @@
 import itertools
+from itertools import chain, combinations_with_replacement, groupby
 
 import pytest
+from conftest import combinatorial_grid
 
 from qstar.algebra import Monomial2
 from qstar.expansion import ETerm
@@ -10,6 +12,7 @@ from qstar.tables import (
     classical_product,
     enumerate_L,
     interior_support_count,
+    level_stacks,
 )
 
 X = Monomial2(1, 0)
@@ -121,3 +124,72 @@ class TestClassicalProduct:
         lhs = expand_terms(classical_product(alpha, p, beta, q, n), n)
         rhs = expand_elementary(alpha, p, n) * expand_elementary(beta, q, n)
         assert lhs == rhs
+
+
+def reference_level_stacks(alpha, beta, n, caps, budget, exact=False):
+    """The level-stack walk as it was before its per-call piece tables.
+
+    It regroups each cell's level multisets on every visit; the kernel
+    must yield the same run lists in the same order.
+    """
+    a, b = len(alpha), len(beta)
+    cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
+    tops = [caps(i, j) for i, j in cells]
+    min_units = sum(alpha) + sum(beta) - n
+    ra = list(alpha)
+    rb = list(beta)
+    picks = [()] * len(cells)
+
+    def walk(idx, wleft, units):
+        if idx == len(cells):
+            if units >= min_units and not (exact and wleft):
+                runs = [(0, i, 0, v) for i, v in enumerate(ra, start=1)]
+                runs += [(0, 0, j, v) for j, v in enumerate(rb, start=1)]
+                runs += chain.from_iterable(picks)
+                yield runs
+            return
+        i, j = cells[idx]
+        choices = range(min(tops[idx], wleft) + 1)
+        for t in range(min(ra[i - 1], rb[j - 1]) + 1):
+            ra[i - 1] -= t
+            rb[j - 1] -= t
+            for combo in combinations_with_replacement(choices, t):
+                w = sum(combo)
+                if w <= wleft:
+                    picks[idx] = [
+                        (k, i, j, len(list(units_at_k)))
+                        for k, units_at_k in groupby(combo)
+                    ]
+                    yield from walk(idx + 1, wleft - w, units + t)
+            ra[i - 1] += t
+            rb[j - 1] += t
+
+    yield from walk(0, budget, 0)
+
+
+class TestLevelStacks:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_reference_walk(self, exact):
+        specs = sorted({(a, b, n) for a, b, n, _ in combinatorial_grid()})
+        cap_rules = [lambda i, j, c=c: c for c in range(4)]
+        cap_rules.append(lambda i, j: (i + 2 * j) % 4)  # unequal caps
+        for alpha, beta, n in specs:
+            for caps in cap_rules:
+                for budget in range(7):
+                    args = (alpha, beta, n, caps, budget, exact)
+                    assert list(level_stacks(*args)) == list(
+                        reference_level_stacks(*args)
+                    ), args
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("units,top,count,exact_count", [
+        (1, 1500, 1 + 1501, 1),
+        (2, 300, 301 + 22_801, 1 + 151),  # one or two units in the cell
+    ])
+    def test_matches_reference_on_a_deep_cell(
+        self, exact, units, top, count, exact_count,
+    ):
+        args = ((units,), (units,), units + 1, lambda i, j: top, top, exact)
+        got = list(level_stacks(*args))
+        assert got == list(reference_level_stacks(*args))
+        assert len(got) == (exact_count if exact else count)
