@@ -41,7 +41,7 @@ class TestMonomial2:
 
     def test_hash_and_equality(self):
         assert M(1, 2) == M(1, 2) and M(1, 2) != M(2, 1)
-        assert hash(M(1, 2)) == hash((1, 2))  # the frozen dataclass's hash
+        assert hash(M(1, 2)) == hash((1, 2))
         assert len({M(1, 2), M(1, 2), M(2, 1)}) == 2
 
     def test_negative_exponent(self):
