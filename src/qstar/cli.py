@@ -93,10 +93,13 @@ def _parse_word(text: str) -> words.ThreeWord:
     cols = []
     for chunk in text.split(";"):
         chunk = chunk.strip().strip("()")
-        parts = [int(v) for v in chunk.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"bad word column {chunk!r}")
-        cols.append(tuple(parts))
+        try:
+            s, i, j = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(
+                f"bad word column {chunk!r}: expected (s,i,j);(s,i,j);..."
+            ) from None
+        cols.append((s, i, j))
     return words.ThreeWord(tuple(cols))
 
 

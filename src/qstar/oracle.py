@@ -7,13 +7,16 @@ route is the independent reference.  verify compares both sides in the
 orbit basis instead: both are invariant under permuting the n copies, so a
 symmetric polynomial is fixed by one coefficient per orbit of monomials.
 An orbit key is (sorted tuple of per-copy (x, y) pairs, h power).
+term_orbits reads the star side off the symbolic terms, and moyal_orbits
+computes the Moyal side from counts of copies, expanding neither factor.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, groupby, product
+from functools import cache
+from itertools import chain, combinations_with_replacement, groupby, product
 from math import comb, factorial, perm, prod
 from operator import add, sub
 
@@ -179,9 +182,9 @@ def moyal(f: NPoly, g: NPoly) -> NPoly:
 
     f * g = sum_kappa h^|kappa| / kappa! * d_y^kappa f * d_x^kappa g, with
     kappa running over n-vectors.  Integer inputs give integer output; this
-    is asserted rather than assumed.  On both full factors this is the
-    reference route; verify applies it to one monomial of the left factor
-    (see moyal_orbits).
+    is asserted rather than assumed.  This is the full route's Moyal step,
+    the reference that moyal_orbits is tested against; verify does not
+    call it.
     """
     if f.n != g.n:
         raise ValueError("mismatched number of copies")
@@ -252,65 +255,113 @@ def expand_expansion(expansion: StarExpansion, n: int) -> NPoly:
     return expand_terms(expansion.terms(), n)
 
 
-def _stabilizer(pairs: tuple) -> int:
-    """Permutations of the copies fixing a monomial: prod_P count_P!."""
-    return prod(factorial(len(list(run))) for _, run in groupby(pairs))
-
-
 def term_orbits(terms, n: int) -> dict:
     """Orbit coefficients of a sum of symbolic terms, with no expansion.
 
     scalar * e_mu(m_1..m_r) * h^m is one orbit: mu_j copies carry m_j and
     the n - |mu| unused copies carry (0, 0).  A monomial of it arises from
-    prod_P count_P! / (prod_j mu_j! * (n - |mu|)!) choices of copies.  A
-    term with |mu| > n is zero.
+    prod_P count_P! / (prod_j mu_j! * (n - |mu|)!) choices of copies, with
+    count_P the copies on pair P.  That is 1 unless slots share a pair, and
+    a slot joining c copies on its pair multiplies it by C(c + mu_j, mu_j).
+    A term with |mu| > n is zero.
     """
     out = {}
     for term in terms:
-        mults = term.multiplicities()
-        unused = n - sum(mults)
+        unused = n - sum(term.multiplicities())
         if unused < 0:
             continue
-        pairs = tuple(sorted(chain(
-            [(0, 0)] * unused,
-            *([(mono.x, mono.y)] * mult for mult, mono in term.slots),
-        )))
-        den = factorial(unused) * prod(map(factorial, mults))
-        key = (pairs, term.hbar)
-        out[key] = out.get(key, 0) + term.scalar * (_stabilizer(pairs) // den)
+        counts = {}
+        weight = 1
+        for mult, mono in (*term.slots, (unused, (0, 0))):
+            count = counts.get(mono, 0)
+            if count:
+                weight *= comb(count + mult, mult)
+            counts[mono] = count + mult
+        pairs = []
+        for pair, count in sorted(counts.items()):
+            pairs += [pair] * count
+        key = (tuple(pairs), term.hbar)
+        out[key] = out.get(key, 0) + term.scalar * weight
     return {key: c for key, c in out.items() if c}
 
 
-def moyal_orbits(alpha, p, beta, q, n: int) -> dict:
-    """Orbit coefficients of e_alpha(p) * e_beta(q) from one monomial of f.
+def _copy_terms(f: tuple, g: tuple, m: int) -> dict:
+    """m copies with left pair f and right pair g: {(pairs, h): coefficient}.
 
-    The Moyal kernel factors over the copies, so it commutes with permuting
-    them, and g = e_beta(q) is symmetric.  With x^k one monomial of f,
-    f * g = c_f sum_{sigma in S_n / Stab(k)} sigma (x^k * g), so the
-    coefficient at orbit K is |Stab(K)| / (prod_j alpha_j! (n - |alpha|)!)
-    times the sum of the coefficients of x^k * g over K's monomials.  The
-    product is zero when |alpha| > n.
+    Each copy picks a term k of its kernel C(d, k) (e)_k (d the left
+    y-degree, e the right x-degree); a multiset of picks stands for
+    m! / prod_k mult_k! ordered ones.
+    """
+    (a, d), (e, b) = f, g
+    kernel = [comb(d, k) * perm(e, k) for k in range(min(d, e) + 1)]
+    out = {}
+    for ks in combinations_with_replacement(range(len(kernel)), m):
+        coeff = factorial(m)
+        for k, run in groupby(ks):
+            mult = len(list(run))
+            coeff = coeff // factorial(mult) * kernel[k] ** mult
+        # a pair falls as k grows, so reversed(ks) gives the pairs sorted
+        out[tuple((a + e - k, d + b - k) for k in reversed(ks)), sum(ks)] = coeff
+    return out
+
+
+def moyal_orbits(alpha, p, beta, q, n: int) -> dict:
+    """Orbit coefficients of e_alpha(p) * e_beta(q), by grouping copies.
+
+    f = e_alpha(p) is the sum of sigma(x^k) over S_n for one monomial x^k,
+    over D = prod_j alpha_j! (n - |alpha|)!, so orbit K gets |Stab(K)| / D
+    times the sum of x^k * g over K's monomials.  Up to Stab(k), a monomial
+    of g = e_beta(q) is a count matrix c[block][label]: blocks of copies
+    with equal pairs in x^k, labels q_1..q_b and unused, column sums beta
+    and n - |beta|.  It stands for prod_B s_B! / prod c_Bj! monomials, and
+    each (block, label) group is a multiset of kernel terms (_copy_terms).
+    Zero when |alpha| > n or |beta| > n.  The full NPoly route
+    (expand_elementary, then moyal) is the tested reference, and this
+    shares nothing with it.
     """
     alpha = tuple(alpha)
-    if len(alpha) != len(p):
-        raise ValueError("alpha and p must have equal length")
-    unused = n - weight(alpha)
-    if unused < 0:
+    caps = tuple(beta) + (n - sum(beta),)
+    unused = n - sum(alpha)
+    if len(alpha) != len(p) or len(caps) != len(q) + 1:
+        raise ValueError("margins and monomials must have equal length")
+    if unused < 0 or caps[-1] < 0:
         return {}
-    rep = [0] * (2 * n + 1)
-    copies = chain.from_iterable([mono] * mult for mult, mono in zip(alpha, p))
-    for copy, mono in enumerate(copies):
-        rep[copy] = mono.x
-        rep[n + copy] = mono.y
-    single = moyal(NPoly(n, {tuple(rep): 1}), expand_elementary(beta, q, n))
+    blocks = {(0, 0): unused}
+    for mult, mono in zip(alpha, p):
+        blocks[tuple(mono)] = blocks.get(tuple(mono), 0) + mult
+    labels = [tuple(mono) for mono in q] + [(0, 0)]
+    rows = [
+        [row for row in product(*(range(min(s, c) + 1) for c in caps))
+         if sum(row) == s]
+        for s in blocks.values()
+    ]
+    sizes = prod(map(factorial, blocks.values()))
+    terms = cache(_copy_terms)
     bins = {}
-    for key, c in single.terms.items():
-        orbit = tuple(sorted(zip(key[:n], key[n:2 * n]))), key[-1]
-        bins[orbit] = bins.get(orbit, 0) + c
+    for matrix in product(*rows):
+        if tuple(map(sum, zip(*matrix))) != caps:
+            continue
+        part = {((), 0): sizes // prod(map(factorial, chain(*matrix)))}
+        for f, row in zip(blocks, matrix):
+            for g, m in zip(labels, row):
+                if not m:
+                    continue
+                merged = {}
+                for (pairs, h), c in part.items():
+                    for (more, k), ck in terms(f, g, m).items():
+                        key = tuple(sorted(pairs + more)), h + k
+                        merged[key] = merged.get(key, 0) + c * ck
+                part = merged
+        for orbit, c in part.items():
+            bins[orbit] = bins.get(orbit, 0) + c
     den = factorial(unused) * prod(map(factorial, alpha))
     out = {}
     for orbit, c in bins.items():
-        coeff, rest = divmod(c * _stabilizer(orbit[0]), den)
+        # |Stab(K)| = prod_P count_P!, each pair's copies one sorted run
+        stabilizer = prod(
+            factorial(len(list(run))) for _, run in groupby(orbit[0])
+        )
+        coeff, rest = divmod(c * stabilizer, den)
         assert rest == 0, "orbit coefficient is not an integer"
         if coeff:
             out[orbit] = coeff
@@ -355,11 +406,12 @@ class VerifyReport:
 def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
     """End-to-end check of the star expansion against the Moyal oracle.
 
-    Both sides and the classical reference are compared in the orbit basis
-    (term_orbits, moyal_orbits); the full NPoly route stays as the tested
-    reference.  drop_scalars is a negative-control hook: it strips the term
-    scalars before comparing, which must make the identity fail whenever a
-    nontrivial kernel coefficient occurs.
+    Both sides and the classical reference are compared in the orbit basis:
+    term_orbits for the star side and the classical product, moyal_orbits
+    for the Moyal side.  Neither expands a polynomial; the full NPoly route
+    is their tested reference.  drop_scalars is a negative-control hook: it
+    strips the term scalars before comparing, which must make the identity
+    fail whenever a nontrivial kernel coefficient occurs.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)

@@ -118,3 +118,31 @@ def three_entry_grid():
                 for _ in beta
             )
             yield alpha, beta, p, q, n
+
+
+def heavy_entry_grid():
+    """(alpha, beta, p, q, n) specs with three-entry margins of weight 7-8.
+
+    One seeded spec per pair of margins, n <= 9, exponents up to 3, with
+    its own Random.  The star side's cost grows steeply with the grade
+    K = max_ij min(deg_y p_i, deg_x q_j): one spec took 8 s at K = 2 and
+    20 s at K = 3.  So each spec is redrawn until K <= 1, where a kernel
+    coefficient deg_y p_i * deg_x q_j can still exceed 1.
+    """
+    rng = random.Random(20261020)
+    margins = [(1, 3, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4)]
+    for alpha in margins:
+        for beta in margins:
+            n = rng.randint(max(sum(alpha), sum(beta)), 9)
+            while True:
+                p = tuple(
+                    Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                    for _ in alpha
+                )
+                q = tuple(
+                    Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                    for _ in beta
+                )
+                if max(min(pi.y, qj.x) for pi in p for qj in q) <= 1:
+                    break
+            yield alpha, beta, p, q, n

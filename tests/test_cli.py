@@ -302,6 +302,20 @@ class TestWord:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("action", ["decode", "stats"])
+    @pytest.mark.parametrize("word,column", [
+        ("(0,2,2);(1,x,2)", "1,x,2"),
+        ("(0,2,2);(1,2)", "1,2"),
+        ("(0,2,2);;(1,2,2)", ""),
+        ("0,1,1\n3,2,2\n3,2,3", "0,1,1\n3,2,2\n3,2,3"),
+    ])
+    def test_malformed_column_is_named(self, capsys, action, word, column):
+        code, out, err = run(capsys, "word", action, word)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad word column {column!r}: expected (s,i,j);(s,i,j);...\n"
+        )
+
     def test_stats_refuses_shape(self, capsys):
         # stats used to ignore --shape and exit 0
         code, out, err = run(
@@ -324,6 +338,16 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_no_copies(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--alpha", "0", "--beta", "0",
+            "--p", "x", "--q", "y", "--n", "0",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "oracle identity: ok\nclassical slice: ok\npath agreement:  ok\n"
+        )
+
     def test_negative_control(self, capsys):
         code, out, _ = run(
             capsys, "verify", *WORKED_FLAGS, "--inject-drop-scalar",
@@ -341,7 +365,7 @@ class TestInternalError:
         def broken(*args):
             raise RuntimeError("first line\nsecond line")
 
-        monkeypatch.setattr("qstar.oracle.moyal", broken)
+        monkeypatch.setattr("qstar.oracle.moyal_orbits", broken)
         code, out, err = run(capsys, "verify", *WORKED_FLAGS)
         assert (code, out) == (4, "")
         assert err == "error: internal: RuntimeError: first line\n"

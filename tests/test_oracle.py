@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import chain, groupby, permutations
 from math import factorial, prod
 
 import pytest
 
 import qstar.oracle
-from conftest import WORKED, oracle_grid, three_entry_grid, wide_margin_grid
+from conftest import (
+    WORKED,
+    heavy_entry_grid,
+    oracle_grid,
+    three_entry_grid,
+    wide_margin_grid,
+)
 from qstar.algebra import Monomial2, star_pair
 from qstar.expansion import ETerm, star_product
 from qstar.oracle import (
@@ -46,6 +52,11 @@ def permute_copies(poly, perm_map):
     return NPoly(n, out)
 
 
+def stabilizer(pairs):
+    """Permutations of the copies fixing sorted per-copy pairs."""
+    return prod(factorial(len(list(g))) for _, g in groupby(pairs))
+
+
 def full_orbits(poly):
     """A symmetric NPoly as {(sorted per-copy pairs, h power): coefficient}.
 
@@ -58,10 +69,49 @@ def full_orbits(poly):
         orbit = tuple(sorted(zip(key[:n], key[n:2 * n]))), key[-1]
         seen.setdefault(orbit, []).append(c)
     for (pairs, _), coeffs in seen.items():
-        stabilizer = prod(factorial(len(list(g))) for _, g in groupby(pairs))
-        assert len(coeffs) == factorial(n) // stabilizer, pairs
+        assert len(coeffs) == factorial(n) // stabilizer(pairs), pairs
         assert len(set(coeffs)) == 1, pairs
     return {orbit: coeffs[0] for orbit, coeffs in seen.items()}
+
+
+def full_moyal_orbits(alpha, p, beta, q, n):
+    """e_alpha(p) * e_beta(q) by the full NPoly route, in the orbit basis."""
+    return full_orbits(moyal(
+        expand_elementary(alpha, p, n), expand_elementary(beta, q, n)
+    ))
+
+
+def reference_moyal_orbits(alpha, p, beta, q, n):
+    """Orbit coefficients of e_alpha(p) * e_beta(q) from one monomial of f.
+
+    The one-representative route: with x^k one monomial of f, the
+    coefficient at orbit K is |Stab(K)| / (prod_j alpha_j! (n - |alpha|)!)
+    times the sum of the coefficients of x^k * g over K's monomials, with
+    g = e_beta(q) expanded in full.  It reaches specs the full route does
+    not, such as three_entry_grid, but takes over a minute at n = 9.
+    """
+    alpha = tuple(alpha)
+    unused = n - sum(alpha)
+    if unused < 0:
+        return {}
+    rep = [0] * (2 * n + 1)
+    copies = chain.from_iterable([mono] * mult for mult, mono in zip(alpha, p))
+    for copy, mono in enumerate(copies):
+        rep[copy] = mono.x
+        rep[n + copy] = mono.y
+    single = moyal(NPoly(n, {tuple(rep): 1}), expand_elementary(beta, q, n))
+    bins = {}
+    for key, c in single.terms.items():
+        orbit = tuple(sorted(zip(key[:n], key[n:2 * n]))), key[-1]
+        bins[orbit] = bins.get(orbit, 0) + c
+    den = factorial(unused) * prod(map(factorial, alpha))
+    out = {}
+    for orbit, c in bins.items():
+        coeff, rest = divmod(c * stabilizer(orbit[0]), den)
+        assert rest == 0, "orbit coefficient is not an integer"
+        if coeff:
+            out[orbit] = coeff
+    return out
 
 
 def random_poly(rng, n, max_terms=4, max_deg=3):
@@ -276,6 +326,39 @@ class TestVerify:
             checked += nontrivial
         assert checked == 23
 
+    def test_heavy_entry_grid(self):
+        # three-entry margins of weight 7-8 at n <= 9, added beside the
+        # other grids; dropping the scalars fails exactly where some kernel
+        # coefficient is not 1
+        checked = 0
+        for spec in heavy_entry_grid():
+            assert verify(*spec).ok, spec
+            nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
+            dropped = verify(*spec, drop_scalars=True)
+            assert dropped.identity_ok != nontrivial, spec
+            checked += nontrivial
+        assert checked == 12
+
+    def test_four_four_at_n9(self, monkeypatch):
+        # ROADMAP rung: both engine routes, the star side and the grouped
+        # Moyal side, out of the reach of every expanding route
+        p = (Monomial2(2, 3), Monomial2(1, 3))
+        q = (Monomial2(3, 1), Monomial2(4, 2))
+        sizes = []
+        original = qstar.oracle.term_orbits
+
+        def counted(terms, n):
+            terms = list(terms)
+            orbits = original(terms, n)
+            sizes.append((len(terms), len(orbits)))
+            return orbits
+
+        monkeypatch.setattr(qstar.oracle, "term_orbits", counted)
+        report = verify((4, 4), (4, 4), p, q, 9)
+        assert report.ok, report.details
+        # the first call reads the star side, the second the classical one
+        assert sizes[0] == (63250, 13530)
+
     def test_classical_negative_control(self, monkeypatch):
         # the h^0 slice is read from the LHS, so a wrong reference must
         # still fail the classical check while the identity holds
@@ -328,14 +411,49 @@ class TestOrbitRoute:
             assert term_orbits(terms, n) == full_orbits(
                 expand_terms(terms, n)
             )
-            assert moyal_orbits(alpha, p, beta, q, n) == full_orbits(moyal(
-                expand_elementary(alpha, p, n),
-                expand_elementary(beta, q, n),
-            ))
+            assert moyal_orbits(alpha, p, beta, q, n) == full_moyal_orbits(
+                alpha, p, beta, q, n
+            )
             classical = classical_product(alpha, p, beta, q, n)
             assert term_orbits(classical, n) == full_orbits(
                 expand_terms(classical, n)
             )
+
+    def test_equals_full_route_on_wide_margin_grid(self):
+        for alpha, beta, p, q, n in wide_margin_grid():
+            assert moyal_orbits(alpha, p, beta, q, n) == full_moyal_orbits(
+                alpha, p, beta, q, n
+            )
+
+    def test_equals_reference_on_three_entry_grid(self):
+        # the full route takes minutes here, the one-representative route
+        # about a second
+        for alpha, beta, p, q, n in three_entry_grid():
+            assert moyal_orbits(alpha, p, beta, q, n) == reference_moyal_orbits(
+                alpha, p, beta, q, n
+            )
+
+    @pytest.mark.parametrize("alpha,beta,p,q,n", [
+        # zero margin entries
+        ((0, 1), (1, 0), (X, Monomial2(2, 1)), (Monomial2(0, 2), X), 2),
+        ((0, 2), (2,), (Y, XY), (Monomial2(2, 1),), 3),
+        # repeated monomials in p, in q, and the constant monomial 1
+        ((1, 2), (2, 1), (XY, XY), (Monomial2(2, 1), Monomial2(2, 1)), 4),
+        ((2, 1), (1, 2), (Monomial2(0, 2), Y), (X, X), 3),
+        ((1, 1), (2,), (Monomial2(0, 0), Y), (Monomial2(2, 0),), 3),
+        ((1,), (1, 1), (Monomial2(1, 2),), (Monomial2(0, 0), X), 2),
+        # no copies at all
+        ((0,), (0,), (X,), (Y,), 0),
+        ((), (), (), (), 2),
+    ])
+    def test_degenerate_specs(self, alpha, beta, p, q, n):
+        got = moyal_orbits(alpha, p, beta, q, n)
+        assert got == full_moyal_orbits(alpha, p, beta, q, n)
+        assert got == reference_moyal_orbits(alpha, p, beta, q, n)
+
+    def test_weight_above_n_is_zero(self):
+        assert moyal_orbits((3,), (X,), (1,), (Y,), 2) == {}
+        assert moyal_orbits((1,), (X,), (3,), (Y,), 2) == {}
 
     def test_three_three_at_n8(self):
         # out of the full route's reach: |f * g| has 66,251,920 keys

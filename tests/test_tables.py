@@ -20,15 +20,19 @@ Y = Monomial2(0, 1)
 
 
 def brute_force_L(alpha, beta, n):
-    """Filter oracle: enumerate all small matrices and keep the valid ones."""
+    """Filter oracle: enumerate all small matrices and keep the valid ones.
+
+    Candidates are drawn row by row from the rows of sum at most n; a row
+    above n can never meet total <= n, and every defining condition is
+    still checked on each candidate.
+    """
     a, b = len(alpha), len(beta)
-    cells = (a + 1) * (b + 1)
+    rows_at_most_n = [
+        row for row in itertools.product(range(n + 1), repeat=b + 1)
+        if sum(row) <= n
+    ]
     found = set()
-    for values in itertools.product(range(n + 1), repeat=cells):
-        rows = tuple(
-            tuple(values[i * (b + 1): (i + 1) * (b + 1)])
-            for i in range(a + 1)
-        )
+    for rows in itertools.product(rows_at_most_n, repeat=a + 1):
         g = MarginMatrix(rows)
         if g[0, 0] != 0 or g.total() > n:
             continue
