@@ -150,7 +150,7 @@ class MonomialSyntaxError(ValueError):
 
 def _scan_digits(text: str, pos: int) -> tuple[int, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise MonomialSyntaxError("expected digits", start)
@@ -169,7 +169,7 @@ def parse_monomial(text: str) -> ScaledMonomial:
         sign = -1 if text[pos] == "-" else 1
         pos += 1
     coeff = None
-    if pos < len(text) and text[pos].isdigit():
+    if pos < len(text) and "0" <= text[pos] <= "9":
         coeff, pos = _scan_digits(text, pos)
     exps = {}
     for var in "xy":

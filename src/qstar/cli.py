@@ -31,9 +31,22 @@ ENUM_OPTIONS = {
 }
 
 
+def _int(text: str) -> int:
+    """int(text), refusing the digit separators and non-ASCII digits it reads.
+
+    int() takes "1_0" as 10 and Arabic-Indic digits; its sign and spaces stay.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value"
+
+
 def _parse_multiindex(text: str) -> tuple:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(_int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"bad multi-index {text!r}")
     if not values or any(v < 0 for v in values):
@@ -94,7 +107,7 @@ def _parse_word(text: str) -> words.ThreeWord:
     for chunk in text.split(";"):
         chunk = chunk.strip().strip("()")
         try:
-            s, i, j = map(int, chunk.split(","))
+            s, i, j = map(_int, chunk.split(","))
         except ValueError:
             raise ValueError(
                 f"bad word column {chunk!r}: expected (s,i,j);(s,i,j);..."
@@ -118,7 +131,7 @@ def _emit(text: str, output: str | None):
 def _add_spec_args(parser, need_pq=True):
     parser.add_argument("--alpha", required=True)
     parser.add_argument("--beta", required=True)
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--n", type=_int, required=True)
     if need_pq:
         parser.add_argument("--p", required=True)
         parser.add_argument("--q", required=True)
@@ -211,7 +224,7 @@ def cmd_word(args) -> int:
             raise ValueError("encode requires --shape a,b")
         a, b = _parse_shape(args.shape)
         vec = (
-            [int(v) for v in args.input.split(",")]
+            [_int(v) for v in args.input.split(",")]
             if args.input.strip()
             else []
         )
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enum", help="list L, Q or A elements")
     p_enum.add_argument("kind", choices=["L", "Q", "A"])
     _add_spec_args(p_enum, need_pq=False)
-    p_enum.add_argument("--m", type=int)
+    p_enum.add_argument("--m", type=_int)
     p_enum.add_argument("--count-only", action="store_true")
     p_enum.add_argument(
         "--layout", choices=["by-level", "by-pair"],
@@ -283,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--p", help="pads Q vectors to the support bound")
     p_enum.add_argument("--q")
     p_enum.add_argument(
-        "--levels", type=int,
+        "--levels", type=_int,
         help="pad Q vectors to at least this many levels (never truncates)",
     )
     p_enum.add_argument("--output")

@@ -4,7 +4,8 @@ A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels, held as
 its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
-(smash) lands back in the classical set L.
+(smash) lands back in the classical set L.  enumerate_Q reads
+tables.level_stacks and lift has its own walk, so each checks the other.
 """
 
 from __future__ import annotations
@@ -91,9 +92,7 @@ def _level_splits(total: int, top: int, budget: int):
     lexicographic order of counts.  Iterative, so a deep top costs no
     recursion: levels 0..top-1 form an odometer whose deepest digit that
     can take one more unit advances, and level top takes what is left.
-    Only the lift route's placement walk uses it: that route places
-    levels independently of tables.level_stacks so that the two can check
-    each other.
+    Only lift calls it, which keeps that route apart from tables.
     """
     counts = [0] * (top + 1)
     rem, w = total, 0  # units and weight of levels 0..top-1
@@ -133,18 +132,16 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     return out
 
 
-def _placements(gamma: MarginMatrix, top: int, caps, budget: int):
-    """Every placement of gamma's interior on levels, of weight <= budget.
+def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
+    """Every cubical matrix of weight <= m whose smash is gamma, in walk order.
 
-    Walks gamma's nonzero interior cells row-major; cell (i, j) (1-based)
-    spreads its units over levels 0..min(top, caps(i, j)), or 0..top when
-    caps is None, by _level_splits, and the boundary stays at level 0.
-    Yields (runs, weight), runs being the (k, i, j, v) runs CubicalMatrix
-    takes.  The one recursion of the lift route, independent of
-    tables.level_stacks; its depth is the number of nonzero cells.
+    Cell (i, j) (1-based) spreads its units over levels 0..min(m, caps(i, j))
+    by _level_splits and the boundary stays at level 0.  The recursion runs
+    over gamma's nonzero interior cells, row-major, and calls nothing in
+    tables, so it checks tables.level_stacks.
     """
     cells = [
-        (i, j, gamma[i, j], top if caps is None else min(top, caps(i, j)))
+        (i, j, gamma[i, j], min(m, caps(i, j)))
         for i in range(1, gamma.a + 1)
         for j in range(1, gamma.b + 1)
         if gamma[i, j]
@@ -152,65 +149,30 @@ def _placements(gamma: MarginMatrix, top: int, caps, budget: int):
     edge = [(0, i, 0, gamma[i, 0]) for i in range(1, gamma.a + 1)]
     edge += [(0, 0, j, gamma[0, j]) for j in range(1, gamma.b + 1)]
     chosen = [()] * len(cells)
+    out = []
 
     def rec(idx: int, wleft: int):
         if idx == len(cells):
-            yield edge + list(chain.from_iterable(chosen)), budget - wleft
+            runs = edge + list(chain.from_iterable(chosen))
+            out.append(CubicalMatrix(gamma.a, gamma.b, runs))
             return
-        i, j, units, cell_top = cells[idx]
-        for counts, w in _level_splits(units, cell_top, wleft):
+        i, j, units, top = cells[idx]
+        for counts, w in _level_splits(units, top, wleft):
             chosen[idx] = [(k, i, j, c) for k, c in enumerate(counts) if c]
-            yield from rec(idx + 1, wleft - w)
+            rec(idx + 1, wleft - w)
 
-    yield from rec(0, budget)
-
-
-def lift(gamma: MarginMatrix, s: int, m: int,
-         caps=None) -> list[CubicalMatrix]:
-    """All cubical matrices of support s and weight m whose smash is gamma.
-
-    Redistributes each interior entry into levels 0..s; the boundary stays
-    at level 0.  With caps, cell (i, j) (1-based) uses levels up to
-    min(s, caps(i, j)) only.  A filter on the placement walk: it keeps the
-    placements of weight m whose top occupied level is s, in to_vector
-    order.  An independent cross-check route: it does not call
-    tables.level_stacks.
-    """
-    if s > m:
-        raise ValueError("support level cannot exceed the weight")
-    out = [
-        CubicalMatrix(gamma.a, gamma.b, runs)
-        for runs, w in _placements(gamma, s, caps, m)
-        if w == m and max(run[0] for run in runs) == s
-    ]
-    out.sort(key=lambda g: to_vector(g, levels=s + 1))
+    rec(0, m)
     return out
 
 
-def lift_all(alpha, beta, n, m, caps=None,
-             exact=True) -> list[CubicalMatrix]:
-    """Q(alpha, beta, n, m) built by lifting every classical matrix once.
+def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
+    """Every lift of weight <= m of each matrix of L(alpha, beta, n).
 
-    The cross-check route for enumerate_Q: the classical matrices come from
-    one enumerate_L call, but their levels are placed by the placement
-    walk, not by tables.level_stacks; L itself is checked against
-    words.enumerate_A.  Cell (i, j) uses levels up to min(m, caps(i, j)),
-    or up to m when caps is None.  exact keeps the lifts of weight m (with
-    no caps, all of Q(m)); exact=False keeps every lift of weight <= m,
-    as in tables.level_stacks.  In to_vector order.
+    One enumerate_L call, which checks the margins and is itself checked
+    against words.enumerate_A; lift places the levels.  In walk order.
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    _check_margins(alpha, beta, n)
-    a, b = len(alpha), len(beta)
-    out = [
-        CubicalMatrix(a, b, runs)
-        for gamma in enumerate_L(alpha, beta, n)
-        for runs, w in _placements(gamma, m, caps, m)
-        if w == m or not exact
-    ]
-    out.sort(key=lambda g: to_vector(g, levels=m + 1))
-    return out
+    return [g for gamma in enumerate_L(alpha, beta, n)
+            for g in lift(gamma, m, caps)]
 
 
 def max_support(p, q) -> int:

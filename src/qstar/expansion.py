@@ -110,10 +110,10 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
 
     The enumerate path makes one pass over the level stacks with the cap of
     cell (i, j) at K_ij and weight at most M, so every matrix contributes.
-    The lift path makes one lift_all call with the same caps and
-    exact=False: it lifts each classical matrix once to every weight up to
-    M, builds no vanishing term either, and places the levels without
-    tables.level_stacks, so the two paths check each other.
+    The lift path makes one lift_all call with the same caps and budget, so
+    it builds no vanishing term either, and places the levels without
+    tables.level_stacks.  The per-slice sort by (slots, scalar) renders
+    both paths' terms alike, whatever order they come in.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -134,9 +134,7 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
             for runs in level_stacks(alpha, beta, n, btable.k_max, m_bound)
         )
     else:
-        gammas = lift_all(
-            alpha, beta, n, m_bound, btable.k_max, exact=False
-        )
+        gammas = lift_all(alpha, beta, n, m_bound, btable.k_max)
     by_order = {}
     for gamma in gammas:
         term = gamma_to_eterm(gamma, btable)

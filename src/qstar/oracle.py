@@ -424,14 +424,10 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
     if not paths_ok:
         details.append("enumerate and lift paths produced different terms")
 
-    expansion = exp_enum
+    terms = exp_enum.terms()
     if drop_scalars:
-        expansion = replace(exp_enum, by_order={
-            m: [replace(t, scalar=1) for t in ts]
-            for m, ts in exp_enum.by_order.items()
-        })
-
-    lhs = term_orbits(expansion.terms(), n)
+        terms = (replace(t, scalar=1) for t in terms)
+    lhs = term_orbits(terms, n)
     rhs = moyal_orbits(alpha, p, beta, q, n)
     identity_ok = lhs == rhs
     if not identity_ok:

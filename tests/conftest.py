@@ -3,6 +3,7 @@
 import random
 
 from qstar.algebra import Monomial2
+from qstar.cubes import lift_all
 
 # Multi-indices with up to two entries, each at most 2.
 MULTI_INDICES = [
@@ -27,6 +28,17 @@ def combinatorial_grid(max_n=4, max_m=3):
             for n in range(lo, max_n + 1):
                 for m in range(max_m + 1):
                     yield alpha, beta, n, m
+
+
+def exact_lifts(alpha, beta, n, m, caps=None):
+    """lift_all's lifts of weight exactly m, sorted; uncapped, Q(m).
+
+    Sorted so that a comparison with enumerate_Q is one of multisets.
+    """
+    caps = caps or (lambda i, j: m)
+    return sorted(
+        g for g in lift_all(alpha, beta, n, m, caps) if g.weight() == m
+    )
 
 
 def small_monomials(max_exp=2):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import WORKED, combinatorial_grid, oracle_grid
+from conftest import WORKED, combinatorial_grid, exact_lifts, oracle_grid
 from qstar.algebra import (
     Monomial2,
     b_length,
@@ -25,7 +25,6 @@ from qstar.cubes import (
     contributing_support,
     enumerate_Q,
     from_vector,
-    lift_all,
     max_order,
     max_support,
     to_vector,
@@ -182,7 +181,7 @@ def test_criterion_4_combinatorial_propositions():
         supports = [g.support_level() for g in q_set]
         if not all(0 <= s <= m for s in supports):
             failures.append(("support partition", alpha, beta, n, m))
-        if lift_all(alpha, beta, n, m) != q_set:
+        if exact_lifts(alpha, beta, n, m) != sorted(q_set):
             failures.append(("lift_all != enumerate_Q", alpha, beta, n, m))
         if m >= 1:
             # weight m >= 1 needs a unit at a level k >= 1, and only

@@ -88,6 +88,15 @@ class TestParse:
             parse_monomial("x^2z")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("text,offset", [
+        ("x^\u00b2", 2), ("x^\u0661", 2), ("\u0663x", 0), ("2\u0663x", 1),
+    ])
+    def test_non_ascii_digit_offset(self, text, offset):
+        # str.isdigit and int() take these; the grammar's digits are ASCII
+        with pytest.raises(MonomialSyntaxError) as exc:
+            parse_monomial(text)
+        assert exc.value.offset == offset
+
     @given(st.integers(-9, 9).filter(bool), st.integers(0, 9), st.integers(0, 9))
     def test_round_trip(self, c, x, y):
         sm = ScaledMonomial(c, Monomial2(x, y))

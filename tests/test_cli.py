@@ -428,6 +428,66 @@ class TestParser:
         assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0, 2, 0]
 
 
+class TestAsciiIntegers:
+    """Integers are ASCII digits: int() also reads "1_0" and "\u0661"."""
+
+    @pytest.mark.parametrize("alpha,beta,bad", [
+        ("0_1", "1", "0_1"), ("1", "\u0661", "\u0661"),
+    ])
+    def test_multiindex(self, capsys, alpha, beta, bad):
+        code, out, err = run(
+            capsys, "enum", "L", "--alpha", alpha, "--beta", beta, "--n", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad multi-index {bad!r}\n"
+
+    def test_word_column(self, capsys):
+        code, out, err = run(capsys, "word", "stats", "(0,2_2,2)")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bad word column '0,2_2,2': expected (s,i,j);(s,i,j);...\n"
+        )
+
+    def test_encode_vector(self, capsys):
+        code, out, err = run(
+            capsys, "word", "encode", "0,0,1_0", "--shape", "1,1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: invalid integer '1_0'\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "\u0663"],
+        ["--n", "1", "--m", "\u0662"],
+        ["--n", "1", "--m", "1", "--levels", "\u0662"],
+        ["--n", "1_0"],
+    ])
+    def test_argparse_types(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "Q", "--alpha", "1", "--beta", "1", *flags])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"error: argument {flags[-2]}: invalid int value: " in err
+
+    @pytest.mark.parametrize("p", ["x^\u0661", "x^\u00b2"])
+    def test_monomial_exponent(self, capsys, p):
+        code, out, err = run(
+            capsys, "star", "--alpha", "1", "--beta", "1", "--n", "1",
+            "--p", p, "--q", "y",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expected digits (at offset 2)\n"
+
+    def test_sign_and_spaces_still_read(self, capsys):
+        code, out, err = run(
+            capsys, "word", "encode", " 0,+1, 0 ", "--shape", "1,1",
+        )
+        assert (code, out, err) == (0, "(0,1,2)\n", "")
+        code, out, _ = run(
+            capsys, "enum", "L", "--alpha", " +1", "--beta", "1", "--n", "1 ",
+        )
+        assert (code, out) == (0, "0,0,0,1\n")
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
         outputs = set()

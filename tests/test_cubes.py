@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import WORKED, combinatorial_grid
+from conftest import WORKED, combinatorial_grid, exact_lifts
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import (
     CubicalMatrix,
@@ -143,10 +143,11 @@ class TestSupportLevel:
         assert SEC2_LIFTED.support_level() == 1
 
     def test_lift_has_stated_support(self):
+        # a cap of s bounds every level, and the lifts reach each level <= s
         gamma = MarginMatrix(((0, 0, 0), (0, 0, 2), (0, 1, 0)))
         for s in (1, 2):
-            for g in lift(gamma, s, s):
-                assert g.support_level() == s
+            lifted = lift(gamma, 4, lambda i, j: s)
+            assert {g.support_level() for g in lifted} == set(range(s + 1))
 
 
 class TestSmash:
@@ -169,7 +170,7 @@ class TestSmash:
 class TestLift:
     def test_lift_example(self):
         gamma = MarginMatrix(((0, 0, 0), (0, 0, 2), (0, 1, 0)))
-        lifted = lift(gamma, 1, 1)
+        lifted = [g for g in lift(gamma, 1, lambda i, j: 1) if g.weight() == 1]
         expected = {
             mk(
                 [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
@@ -184,11 +185,12 @@ class TestLift:
 
     def test_identity_embedding(self):
         gamma = MarginMatrix(((0, 1, 0), (0, 1, 0), (0, 0, 1)))
-        assert lift(gamma, 0, 0) == [from_margin(gamma)]
+        assert lift(gamma, 0, lambda i, j: 0) == [from_margin(gamma)]
 
     def test_nothing_to_raise(self):
+        # an all-zero interior has no weight-1 lift, only its embedding
         gamma = MarginMatrix(((0, 1, 1), (1, 0, 0), (1, 0, 0)))
-        assert lift(gamma, 1, 1) == []
+        assert lift(gamma, 1, lambda i, j: 1) == [from_margin(gamma)]
 
     def test_caps_filter_the_uncapped_lift(self):
         tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
@@ -203,22 +205,24 @@ class TestLift:
             ]
 
         for gamma in enumerate_L((1, 2), (2, 1), 4):
-            for s in range(5):
-                for m in range(s, 6):
-                    assert lift(gamma, s, m, caps) == capped(lift(gamma, s, m))
+            for m in range(6):
+                uncapped = lift(gamma, m, lambda i, j: m)
+                assert lift(gamma, m, caps) == capped(uncapped)
         for m in range(6):
-            assert lift_all((2, 2), (1, 2), 4, m, caps) == capped(
+            assert exact_lifts((2, 2), (1, 2), 4, m, caps) == sorted(capped(
                 enumerate_Q((2, 2), (1, 2), 4, m)
-            )
+            ))
 
     def test_lift_then_smash(self):
         for gamma in enumerate_L((1, 2), (2, 1), 4):
-            for s in range(3):
-                for m in range(s, 4):
-                    for g in lift(gamma, s, m):
+            for top in range(3):
+                for m in range(4):
+                    lifted = lift(gamma, m, lambda i, j: top)
+                    assert len(set(lifted)) == len(lifted)
+                    for g in lifted:
                         assert g.smash() == gamma
-                        assert g.support_level() == s
-                        assert g.weight() == m
+                        assert g.support_level() <= min(top, m)
+                        assert g.weight() <= m
 
 
 def recursive_level_splits(total, top, budget):
@@ -254,7 +258,9 @@ class TestLevelSplits:
     def test_deep_single_cell(self):
         # one level per recursion used to exhaust the stack near 1000
         gamma = MarginMatrix(((0, 0), (0, 1)))
-        assert lift(gamma, 1200, 1200) == [
+        lifted = lift(gamma, 1200, lambda i, j: 1200)
+        assert len(lifted) == 1201
+        assert [g for g in lifted if g.weight() == 1200] == [
             CubicalMatrix(1, 1, ((1200, 1, 1, 1),))
         ]
         splits = list(_level_splits(1, 1200, 1200))
@@ -264,40 +270,41 @@ class TestLevelSplits:
 
 class TestLiftAll:
     def test_matches_enumerate_m1(self):
-        assert lift_all((1, 1), (2, 1), 4, 1) == enumerate_Q((1, 1), (2, 1), 4, 1)
+        assert exact_lifts((1, 1), (2, 1), 4, 1) == sorted(
+            enumerate_Q((1, 1), (2, 1), 4, 1)
+        )
 
     def test_m0_is_level0_embedding(self):
-        got = lift_all((1, 1), (2, 1), 4, 0)
-        expected = sorted(
-            (from_margin(g) for g in enumerate_L((1, 1), (2, 1), 4)),
-            key=lambda g: to_vector(g, levels=1),
-        )
-        assert got == expected
+        got = lift_all((1, 1), (2, 1), 4, 0, lambda i, j: 0)
+        expected = [from_margin(g) for g in enumerate_L((1, 1), (2, 1), 4)]
+        assert sorted(got) == sorted(expected)
 
     def test_single_cell_high_level(self):
-        got = lift_all((1,), (1,), 1, 3)
+        got = exact_lifts((1,), (1,), 1, 3)
         assert got == [
             mk([[0, 0], [0, 0]], [[0, 0], [0, 0]],
                [[0, 0], [0, 0]], [[0, 0], [0, 1]])
         ]
 
     def test_weight_window_is_the_union_of_exact_weights(self):
-        # exact=False keeps every lift of weight <= budget in one pass
+        # one pass keeps every lift of weight <= budget: the capped union
+        # of Q(m) over m <= budget
         tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
 
         def caps(i, j):
             return tops[i, j]
 
         for alpha, beta, n, budget in combinatorial_grid():
-            for cap in (None, caps):
+            for cap in (lambda i, j: budget, caps):
                 union = [
                     g for m in range(budget + 1)
-                    for g in lift_all(alpha, beta, n, m, cap)
+                    for g in enumerate_Q(alpha, beta, n, m)
+                    if all(k <= cap(i, j) for k, i, j, _ in g.entries
+                           if i and j)
                 ]
-                union.sort(key=lambda g: to_vector(g, levels=budget + 1))
-                assert lift_all(
-                    alpha, beta, n, budget, cap, exact=False
-                ) == union, (alpha, beta, n, budget, cap)
+                assert sorted(
+                    lift_all(alpha, beta, n, budget, cap)
+                ) == sorted(union), (alpha, beta, n, budget)
 
 
 class TestBounds:
@@ -437,8 +444,8 @@ class TestGridProperties:
                 by_support.setdefault(g.support_level(), []).append(g)
             assert all(0 <= s <= m for s in by_support)
             assert sum(len(v) for v in by_support.values()) == len(q_set)
-            # lift route gives the same set
-            assert lift_all(alpha, beta, n, m) == q_set
+            # lift route gives the same multiset
+            assert exact_lifts(alpha, beta, n, m) == sorted(q_set)
             if m >= 1:
                 # positive weight needs a raised interior unit, so matrices
                 # whose interior is all zero are unreachable

@@ -1,10 +1,11 @@
 import json
 import random
+from itertools import chain
 
 import pytest
 
 import qstar.cubes
-from conftest import WORKED, oracle_grid
+from conftest import WORKED, oracle_grid, wide_margin_grid
 from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
 from qstar.cli import _unlimited_int_digits, main
 from qstar.cubes import CubicalMatrix, enumerate_Q
@@ -125,6 +126,13 @@ class TestStarProduct:
             a = star_product(*spec, path="enumerate")
             b = star_product(*spec, path="lift")
             assert a.canonical() == b.canonical()
+        # the routes visit matrices in different orders; the rendered
+        # bytes must not show it
+        for spec in chain(oracle_grid(), wide_margin_grid()):
+            a = star_product(*spec, path="enumerate")
+            b = star_product(*spec, path="lift")
+            for fmt in ("text", "json"):
+                assert render(a, fmt) == render(b, fmt), (spec, fmt)
 
     def test_lift_path_enumerates_L_once(self, monkeypatch):
         # one lift_all call up to M, where each m used to enumerate L anew;
