@@ -11,16 +11,10 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
-class _Exponents(NamedTuple):
-    x: int = 0
-    y: int = 0
-
-
-class Monomial2(_Exponents):
+class Monomial2(NamedTuple("_Exponents", [("x", int), ("y", int)])):
     """A monomial x^x_exp * y^y_exp with nonnegative exponents.
 
     A tuple (x, y), so monomials compare and hash in C; the tuple's + and
@@ -47,17 +41,15 @@ class Monomial2(_Exponents):
     __rmul__ = __add__
 
 
-@dataclass(frozen=True)
-class ScaledMonomial:
+class ScaledMonomial(NamedTuple("_Scaled", [("coeff", int),
+                                            ("mono", Monomial2)])):
     """An integer multiple of a monomial; coeff 0 is the canonical zero."""
 
-    coeff: int
-    mono: Monomial2 = field(default_factory=Monomial2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeff == 0 and self.mono != Monomial2():
-            # zero terms compare equal regardless of the carried monomial
-            object.__setattr__(self, "mono", Monomial2())
+    def __new__(cls, coeff: int, mono: Monomial2 = Monomial2()):
+        # zero terms compare equal regardless of the carried monomial
+        return super().__new__(cls, coeff, mono if coeff else Monomial2())
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -81,8 +73,18 @@ def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
     return out
 
 
-@dataclass(frozen=True)
-class BTable:
+class _ReadOnly:
+    """Base of the __slots__ records: __init__ sets each field once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class BTable(_ReadOnly):
     """The flattened argument table B(p, q), keyed by cubical place.
 
     entries maps each place (k, i, j) of a cubical matrix, indexed as in
@@ -94,9 +96,12 @@ class BTable:
     p's, then q's, then the pairs (i, j) row-major with k innermost.
     """
 
-    p_args: tuple[Monomial2, ...]
-    q_args: tuple[Monomial2, ...]
-    entries: dict
+    __slots__ = ("p_args", "q_args", "entries")
+
+    def __init__(self, p_args: tuple, q_args: tuple, entries: dict):
+        object.__setattr__(self, "p_args", p_args)
+        object.__setattr__(self, "q_args", q_args)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def a(self) -> int:

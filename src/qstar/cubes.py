@@ -10,10 +10,10 @@ tables.level_stacks and lift has its own walk, so each checks the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import ceil
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import b_length
 from .tables import (
@@ -25,8 +25,8 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class CubicalMatrix:
+class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
+                                            ("entries", tuple)])):
     """A cubical matrix of shape (a, b), stored as its nonzero runs.
 
     entries holds (k, i, j, v) runs: v units at level k of cell (i, j),
@@ -37,15 +37,13 @@ class CubicalMatrix:
     Callers pass runs inside the shape, boundary runs at level 0 only.
     """
 
-    a: int
-    b: int
-    entries: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __new__(cls, a: int, b: int, entries=()):
+        if a < 1 or b < 1:
             raise ValueError("shape entries must be positive")
-        runs = tuple(sorted(filter(itemgetter(3), self.entries)))
-        object.__setattr__(self, "entries", runs)
+        runs = tuple(sorted(filter(itemgetter(3), entries)))
+        return super().__new__(cls, a, b, runs)
 
     @classmethod
     def from_levels(cls, levels) -> CubicalMatrix:
@@ -140,6 +138,8 @@ def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
     over gamma's nonzero interior cells, row-major, and calls nothing in
     tables, so it checks tables.level_stacks.
     """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     cells = [
         (i, j, gamma[i, j], min(m, caps(i, j)))
         for i in range(1, gamma.a + 1)

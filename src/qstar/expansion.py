@@ -9,13 +9,13 @@ contributes nothing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import (
     BTable,
     Monomial2,
     ScaledMonomial,
+    _ReadOnly,
     build_B,
     render_monomial,
 )
@@ -33,19 +33,34 @@ def canonical_slots(slots) -> tuple:
     return tuple([(mult, mono) for _, mono, mult in keyed])
 
 
-@dataclass(frozen=True)
-class ETerm:
+class ETerm(_ReadOnly):
     """scalar * e_(multiplicities)(monomials) * h^hbar.
 
-    origin is the matrix the term came from, O(nonzero entries) in size.
+    slots holds ordered (multiplicity, Monomial2) pairs; origin, the matrix
+    the term came from, is left out of equality, hash and repr.
     """
 
-    hbar: int
-    scalar: int
-    slots: tuple  # ordered (multiplicity, Monomial2) pairs
-    origin: CubicalMatrix | None = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("hbar", "scalar", "slots", "origin")
+
+    def __init__(self, hbar: int, scalar: int, slots: tuple, origin=None):
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "origin", origin)
+
+    def _key(self) -> tuple:
+        return self.hbar, self.scalar, self.slots
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ETerm(hbar={!r}, scalar={!r}, slots={!r})".format(*self._key())
 
     def multiplicities(self) -> tuple:
         return tuple(mult for mult, _ in self.slots)
@@ -54,8 +69,7 @@ class ETerm:
         return tuple(mono for _, mono in self.slots)
 
 
-@dataclass(frozen=True)
-class StarExpansion:
+class StarExpansion(NamedTuple):
     alpha: tuple
     beta: tuple
     p: tuple
@@ -194,6 +208,7 @@ def _json_term(t: ETerm) -> str:
 
 
 def _render_json(expansion: StarExpansion) -> str:
+    import json  # here, so that importing the CLI does not load json
     head = json.dumps({
         "params": {
             "alpha": list(expansion.alpha),

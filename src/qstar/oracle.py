@@ -14,11 +14,11 @@ computes the Moyal side from counts of copies, expanding neither factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import comb, factorial, perm, prod
 from operator import add, sub
+from typing import NamedTuple
 
 from .algebra import Monomial2, ScaledMonomial, render_monomial
 from .expansion import ETerm, StarExpansion, star_product
@@ -391,8 +391,7 @@ def _orbit_mismatch(lhs: dict, rhs: dict) -> str:
     )
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     identity_ok: bool
     classical_ok: bool
     paths_ok: bool
@@ -426,7 +425,7 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
 
     terms = exp_enum.terms()
     if drop_scalars:
-        terms = (replace(t, scalar=1) for t in terms)
+        terms = (ETerm(t.hbar, 1, t.slots, t.origin) for t in terms)
     lhs = term_orbits(terms, n)
     rhs = moyal_orbits(alpha, p, beta, q, n)
     identity_ok = lhs == rhs

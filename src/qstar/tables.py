@@ -9,16 +9,15 @@ classical product of elementary multisymmetric functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby
+from typing import NamedTuple
 
 
 def weight(multi_index) -> int:
     return sum(multi_index)
 
 
-@dataclass(frozen=True, order=True)
-class MarginMatrix:
+class MarginMatrix(NamedTuple):
     """An (a+1) x (b+1) matrix stored as a tuple of row tuples."""
 
     rows: tuple

@@ -8,15 +8,14 @@ cubical matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .cubes import CubicalMatrix
 from .tables import _check_margins, weight
 
 
-@dataclass(frozen=True, order=True)
-class ThreeWord:
+class ThreeWord(NamedTuple):
     columns: tuple  # tuple of (s, i, j) triples
 
     def __len__(self) -> int:

@@ -74,6 +74,12 @@ class TestParse:
     def test_negative_coefficient(self):
         assert parse_monomial("-2y^3") == ScaledMonomial(-2, M(0, 3))
 
+    def test_zero_coefficient_drops_the_monomial(self):
+        assert ScaledMonomial(0, M(2, 3)) == ScaledMonomial(0)
+        assert ScaledMonomial(0, M(2, 3)).mono == Monomial2()
+        assert parse_monomial("0x^2y^3") == ScaledMonomial(0)
+        assert parse_monomial("0x^2y^3").is_zero()
+
     def test_empty_is_error(self):
         with pytest.raises(MonomialSyntaxError):
             parse_monomial("")
@@ -170,6 +176,7 @@ class TestBuildB:
             "x^4y^3", "x^3y^2", "x^6y", "x^5", "x^5y^3", "x^4y^2",
         ]
         assert [e.coeff for e in entries] == [1, 1, 1, 1, 1, 3, 1, 2, 1, 3, 1, 2]
+        assert len(table) == 12  # l(B)
 
     def test_trivial(self):
         table = build_B((X,), (Y,))

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +382,23 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exc:
             main(["enum", "L", "--alpha", "1"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_json(self):
+        # -S keeps site's .pth hooks from loading these modules themselves
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import qstar.cli; "
+            "qstar.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'json'}"
+            " & set(sys.modules)))"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout == "[]\n"
 
 
 class TestParser:

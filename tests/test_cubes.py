@@ -192,6 +192,13 @@ class TestLift:
         gamma = MarginMatrix(((0, 1, 1), (1, 0, 0), (1, 0, 0)))
         assert lift(gamma, 1, lambda i, j: 1) == [from_margin(gamma)]
 
+    @pytest.mark.parametrize("rows", [((0, 0), (0, 1)), ((0, 1), (1, 0))])
+    def test_negative_m(self, rows):
+        # with an interior unit to place and with none, whose level-0
+        # embedding would have weight 0 > m
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            lift(MarginMatrix(rows), -1, lambda i, j: 1)
+
     def test_caps_filter_the_uncapped_lift(self):
         tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
 
@@ -278,6 +285,10 @@ class TestLiftAll:
         got = lift_all((1, 1), (2, 1), 4, 0, lambda i, j: 0)
         expected = [from_margin(g) for g in enumerate_L((1, 1), (2, 1), 4)]
         assert sorted(got) == sorted(expected)
+
+    def test_negative_m(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            lift_all((1,), (1,), 1, -1, lambda i, j: 1)
 
     def test_single_cell_high_level(self):
         got = exact_lifts((1,), (1,), 1, 3)

@@ -65,6 +65,16 @@ class TestGammaToETerm:
             (1, Monomial2(4, 2)),
             (1, Monomial2(5, 1)),
         )
+        # origin is carried but left out of equality, hash and repr
+        assert term.origin is gamma
+        bare = ETerm(1, 2, term.slots)
+        assert term == bare and hash(term) == hash(bare)
+        assert repr(term) == repr(bare) == (
+            "ETerm(hbar=1, scalar=2, slots=((1, Monomial2(x=3, y=0)), "
+            "(1, Monomial2(x=4, y=2)), (1, Monomial2(x=5, y=1))))"
+        )
+        assert term != ETerm(1, 3, term.slots)
+        assert term != (1, 2, term.slots)
 
     def test_classical_term_unit_scalar(self):
         btable = build_B(WORKED[2], WORKED[3])
