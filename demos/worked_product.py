@@ -31,7 +31,7 @@ print()
 
 table = build_B(p, q)
 print("B(p,q), %d flat entries:" % len(table))
-for entry in table.flat_entries():
+for entry in table.entries.values():
     print("  %s" % render_monomial(entry))
 print()
 

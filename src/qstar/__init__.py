@@ -4,7 +4,6 @@ from .algebra import (
     BTable,
     Monomial2,
     ScaledMonomial,
-    b_length,
     build_B,
     parse_monomial,
     render_monomial,

@@ -115,9 +115,6 @@ class BTable(_ReadOnly):
         """Highest h-grade K_ij with a nonzero entry for the pair (i, j)."""
         return min(self.p_args[i - 1].y, self.q_args[j - 1].x)
 
-    def flat_entries(self) -> list[ScaledMonomial]:
-        return list(self.entries.values())
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -138,11 +135,6 @@ def build_B(p, q) -> BTable:
             for k, term in star_pair(pi, qj):
                 entries[k, i, j] = term
     return BTable(p, q, entries)
-
-
-def b_length(p, q) -> int:
-    """Flat length l(B) of B(p, q)."""
-    return len(build_B(p, q))
 
 
 class MonomialSyntaxError(ValueError):

@@ -58,6 +58,8 @@ def _parse_shape(text: str) -> tuple:
     shape = _parse_multiindex(text)
     if len(shape) != 2:
         raise ValueError(f"shape {text!r} needs two entries a,b")
+    if min(shape) < 1:
+        raise ValueError("shape entries must be positive")
     return shape
 
 
@@ -158,7 +160,7 @@ def cmd_star(args) -> int:
         for path in paths
     ]
     if len(results) == 2:
-        if results[0].canonical() != results[1].canonical():
+        if list(results[0].terms()) != list(results[1].terms()):
             print("error: enumerate and lift paths disagree", file=sys.stderr)
             return EXIT_PATH_MISMATCH
     with _unlimited_int_digits():
@@ -191,6 +193,10 @@ def cmd_enum(args) -> int:
         else:
             if args.levels is not None and args.levels < 1:
                 raise ValueError("--levels must be at least 1")
+            if args.levels is not None and args.layout == "by-pair":
+                raise ValueError(
+                    "enum Q --layout by-pair does not take --levels"
+                )
             if (args.p is None) != (args.q is None):
                 raise ValueError("--p and --q must be given together")
             btable = None
@@ -255,8 +261,7 @@ def cmd_word(args) -> int:
 def cmd_verify(args) -> int:
     spec = _read_spec(args)
     report = oracle.verify(
-        spec["alpha"], spec["beta"], spec["p"], spec["q"], spec["n"],
-        drop_scalars=args.inject_drop_scalar,
+        spec["alpha"], spec["beta"], spec["p"], spec["q"], spec["n"]
     )
     lines = [
         f"oracle identity: {'ok' if report.identity_ok else 'FAIL'}",
@@ -311,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check against the oracle")
     _add_spec_args(p_verify)
-    p_verify.add_argument(
-        "--inject-drop-scalar",
-        action="store_true",
-        help=argparse.SUPPRESS,  # negative-control test hook
-    )
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -5,17 +5,18 @@ its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
 (smash) lands back in the classical set L.  enumerate_Q reads
-tables.level_stacks and lift has its own walk, so each checks the other.
+tables.level_stacks; lift has its own walk, which draws each cell's levels
+from combinations_with_replacement, so each checks the other.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations_with_replacement, groupby
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import b_length
+from .algebra import build_B
 from .tables import (
     MarginMatrix,
     _check_margins,
@@ -83,35 +84,6 @@ def from_margin(gamma: MarginMatrix) -> CubicalMatrix:
     return CubicalMatrix.from_levels((gamma.rows,))
 
 
-def _level_splits(total: int, top: int, budget: int):
-    """Compositions of `total` into levels 0..top with weight at most budget.
-
-    Yields (counts, weight) with counts a tuple of length top + 1, in
-    lexicographic order of counts.  Iterative, so a deep top costs no
-    recursion: levels 0..top-1 form an odometer whose deepest digit that
-    can take one more unit advances, and level top takes what is left.
-    Only lift calls it, which keeps that route apart from tables.
-    """
-    counts = [0] * (top + 1)
-    rem, w = total, 0  # units and weight of levels 0..top-1
-    while True:
-        if top * rem <= budget - w:
-            counts[top] = rem
-            yield tuple(counts), w + top * rem
-            counts[top] = 0
-        k = top - 1
-        while k >= 0 and not (rem and w + k <= budget):
-            rem += counts[k]
-            w -= k * counts[k]
-            counts[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        counts[k] += 1
-        rem -= 1
-        w += k
-
-
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """All cubical matrices in Q(alpha, beta, n, m), in to_vector order.
 
@@ -133,10 +105,11 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
 def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
     """Every cubical matrix of weight <= m whose smash is gamma, in walk order.
 
-    Cell (i, j) (1-based) spreads its units over levels 0..min(m, caps(i, j))
-    by _level_splits and the boundary stays at level 0.  The recursion runs
-    over gamma's nonzero interior cells, row-major, and calls nothing in
-    tables, so it checks tables.level_stacks.
+    The recursion runs over gamma's nonzero interior cells (i, j), 1-based
+    and row-major.  Each places its units as a multiset of levels from
+    combinations_with_replacement over 0..min(m, caps(i, j), weight left),
+    kept while its weight fits what is left; the boundary stays at level
+    0.  It calls nothing in tables, so it checks tables.level_stacks.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -157,9 +130,13 @@ def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
             out.append(CubicalMatrix(gamma.a, gamma.b, runs))
             return
         i, j, units, top = cells[idx]
-        for counts, w in _level_splits(units, top, wleft):
-            chosen[idx] = [(k, i, j, c) for k, c in enumerate(counts) if c]
-            rec(idx + 1, wleft - w)
+        levels = range(min(top, wleft) + 1)
+        for combo in combinations_with_replacement(levels, units):
+            if (w := sum(combo)) <= wleft:
+                chosen[idx] = [
+                    (k, i, j, len(list(run))) for k, run in groupby(combo)
+                ]
+                rec(idx + 1, wleft - w)
 
     rec(0, m)
     return out
@@ -187,7 +164,7 @@ def max_support(p, q) -> int:
     p = tuple(p)
     q = tuple(q)
     a, b = len(p), len(q)
-    return ceil((b_length(p, q) - (a + b)) / (a * b)) - 1
+    return ceil((len(build_B(p, q)) - (a + b)) / (a * b)) - 1
 
 
 def contributing_support(p, q) -> int:

@@ -89,10 +89,6 @@ class StarExpansion(NamedTuple):
     def order_slice(self, m: int) -> list:
         return list(self.by_order.get(m, ()))
 
-    def canonical(self) -> list:
-        """Sorted (hbar, scalar, slots) triples, for comparing expansions."""
-        return sorted((t.hbar, t.scalar, t.slots) for t in self.terms())
-
 
 def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
     """One symbolic term per matrix, or None when the term vanishes.
@@ -126,8 +122,10 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     cell (i, j) at K_ij and weight at most M, so every matrix contributes.
     The lift path makes one lift_all call with the same caps and budget, so
     it builds no vanishing term either, and places the levels without
-    tables.level_stacks.  The per-slice sort by (slots, scalar) renders
-    both paths' terms alike, whatever order they come in.
+    tables.level_stacks.  Each h slice is sorted by (slots, scalar),
+    which orders unequal terms strictly, so the two paths give equal term
+    lists exactly when they give the same multiset of terms, whatever order
+    they come in, and render alike.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)

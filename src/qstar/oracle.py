@@ -39,10 +39,6 @@ class NPoly:
         self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls, n: int) -> "NPoly":
-        return cls(n)
-
-    @classmethod
     def constant(cls, n: int, c) -> "NPoly":
         key = (0,) * (2 * n + 1)
         return cls(n, {key: c})
@@ -143,7 +139,7 @@ def expand_elementary(alpha, p, n: int) -> NPoly:
             f"|alpha|={weight(alpha)} exceeds n={n}: zero polynomial",
             stacklevel=2,
         )
-        return NPoly.zero(n)
+        return NPoly(n)
     # t-degree -> polynomial in the copies placed so far
     acc = {(0,) * len(alpha): NPoly.constant(n, 1)}
     for i in range(n):
@@ -161,7 +157,7 @@ def expand_elementary(alpha, p, n: int) -> NPoly:
             tdeg: _accumulate(n, chain.from_iterable(streams))
             for tdeg, streams in parts.items()
         }
-    return acc.get(alpha, NPoly.zero(n))
+    return acc.get(alpha, NPoly(n))
 
 
 def expand_eterm(term: ETerm, n: int) -> NPoly:
@@ -232,7 +228,7 @@ def poisson(f: NPoly, g: NPoly) -> NPoly:
         raise ValueError("mismatched number of copies")
     if any(key[-1] for key in chain(f.terms, g.terms)):
         raise ValueError("poisson bracket requires h-free inputs")
-    out = NPoly.zero(f.n)
+    out = NPoly(f.n)
     for i in range(1, f.n + 1):
         out = out + _derivative(f, "x", i) * _derivative(g, "y", i)
         out = out - _derivative(f, "y", i) * _derivative(g, "x", i)
@@ -402,15 +398,14 @@ class VerifyReport(NamedTuple):
         return self.identity_ok and self.classical_ok and self.paths_ok
 
 
-def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
+def verify(alpha, beta, p, q, n) -> VerifyReport:
     """End-to-end check of the star expansion against the Moyal oracle.
 
     Both sides and the classical reference are compared in the orbit basis:
     term_orbits for the star side and the classical product, moyal_orbits
     for the Moyal side.  Neither expands a polynomial; the full NPoly route
-    is their tested reference.  drop_scalars is a negative-control hook: it
-    strips the term scalars before comparing, which must make the identity
-    fail whenever a nontrivial kernel coefficient occurs.
+    is their tested reference.  The two engine paths' term lists are equal
+    exactly when their terms are, since star_product sorts each h slice.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -419,14 +414,11 @@ def verify(alpha, beta, p, q, n, drop_scalars: bool = False) -> VerifyReport:
     details = []
     exp_enum = star_product(alpha, beta, p, q, n, path="enumerate")
     exp_lift = star_product(alpha, beta, p, q, n, path="lift")
-    paths_ok = exp_enum.canonical() == exp_lift.canonical()
+    paths_ok = list(exp_enum.terms()) == list(exp_lift.terms())
     if not paths_ok:
         details.append("enumerate and lift paths produced different terms")
 
-    terms = exp_enum.terms()
-    if drop_scalars:
-        terms = (ETerm(t.hbar, 1, t.slots, t.origin) for t in terms)
-    lhs = term_orbits(terms, n)
+    lhs = term_orbits(exp_enum.terms(), n)
     rhs = moyal_orbits(alpha, p, beta, q, n)
     identity_ok = lhs == rhs
     if not identity_ok:

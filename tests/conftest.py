@@ -1,9 +1,12 @@
 """Shared desk-scale grids and helpers for the test suite."""
 
 import random
+from contextlib import contextmanager
 
+import qstar.oracle
 from qstar.algebra import Monomial2
 from qstar.cubes import lift_all
+from qstar.expansion import ETerm
 
 # Multi-indices with up to two entries, each at most 2.
 MULTI_INDICES = [
@@ -28,6 +31,25 @@ def combinatorial_grid(max_n=4, max_m=3):
             for n in range(lo, max_n + 1):
                 for m in range(max_m + 1):
                     yield alpha, beta, n, m
+
+
+@contextmanager
+def scalars_dropped(monkeypatch):
+    """Inside the block verify reads every term's scalar as 1.
+
+    The negative control: the identity must then fail whenever some
+    kernel coefficient is not 1.
+    """
+    original = qstar.oracle.term_orbits
+
+    def dropped(terms, n):
+        return original(
+            (ETerm(t.hbar, 1, t.slots, t.origin) for t in terms), n
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qstar.oracle, "term_orbits", dropped)
+        yield
 
 
 def exact_lifts(alpha, beta, n, m, caps=None):

@@ -6,7 +6,6 @@ from qstar.algebra import (
     Monomial2,
     MonomialSyntaxError,
     ScaledMonomial,
-    b_length,
     build_B,
     parse_monomial,
     render_monomial,
@@ -170,7 +169,7 @@ class TestBuildB:
         p = (M(2, 1), M(3, 1))
         q = (M(3, 0), M(2, 2))
         table = build_B(p, q)
-        entries = table.flat_entries()
+        entries = list(table.entries.values())
         assert [render_monomial(ScaledMonomial(1, e.mono)) for e in entries] == [
             "x^2y", "x^3y", "x^3", "x^2y^2", "x^5y", "x^4",
             "x^4y^3", "x^3y^2", "x^6y", "x^5", "x^5y^3", "x^4y^2",
@@ -181,13 +180,13 @@ class TestBuildB:
     def test_trivial(self):
         table = build_B((X,), (Y,))
         assert len(table) == 3
-        assert [e.mono for e in table.flat_entries()] == [X, Y, M(1, 1)]
-        assert all(e.coeff == 1 for e in table.flat_entries())
+        assert [e.mono for e in table.entries.values()] == [X, Y, M(1, 1)]
+        assert all(e.coeff == 1 for e in table.entries.values())
 
     def test_two_term_pair(self):
         table = build_B((Y,), (X,))
         assert len(table) == 4
-        assert [e.mono for e in table.flat_entries()] == [
+        assert [e.mono for e in table.entries.values()] == [
             Y, X, M(1, 1), M(0, 0)
         ]
 
@@ -199,19 +198,24 @@ class TestBuildB:
 
 
 class TestBLength:
+    """l(B), the flat length of B(p, q), is len(build_B(p, q))."""
+
     def test_worked_example(self):
-        assert b_length((M(2, 1), M(3, 1)), (M(3, 0), M(2, 2))) == 12
+        assert len(build_B((M(2, 1), M(3, 1)), (M(3, 0), M(2, 2)))) == 12
 
     def test_trivial(self):
-        assert b_length((X,), (Y,)) == 3
+        assert len(build_B((X,), (Y,))) == 3
 
     def test_formula(self):
         # a + b + sum of (min(d_i, f_j) + 1) = 2 + 2 + 4 * 2
-        assert b_length((Y, M(1, 1)), (X, M(2, 0))) == 12
+        assert len(build_B((Y, M(1, 1)), (X, M(2, 0)))) == 12
 
     @given(
         st.lists(monomials, min_size=1, max_size=4),
         st.lists(monomials, min_size=1, max_size=4),
     )
     def test_matches_table_length(self, p, q):
-        assert b_length(p, q) == len(build_B(p, q))
+        # a + b + sum of (min(deg_y p_i, deg_x q_j) + 1)
+        assert len(build_B(p, q)) == len(p) + len(q) + sum(
+            min(pi.y, qj.x) + 1 for pi in p for qj in q
+        )

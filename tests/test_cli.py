@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scalars_dropped
 from qstar import cli
 from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
@@ -150,6 +151,19 @@ class TestEnum:
         _, out3, _ = run(capsys, "enum", "Q", *flags, "--levels", "3")
         assert (out1, out3) == ("0,0,0,1\n", "0,0,0,1,0\n")
 
+    def test_by_pair_refuses_levels(self, capsys):
+        # by-pair vectors have one place per B table entry, so nothing
+        # would read --levels
+        code, out, err = run(
+            capsys, "enum", "Q", "--alpha", "1", "--beta", "1", "--n", "1",
+            "--m", "1", "--layout", "by-pair", "--p", "xy", "--q", "xy",
+            "--levels", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: enum Q --layout by-pair does not take --levels\n"
+        )
+
     def test_q_monomials_must_match_margins(self, capsys):
         code, out, err = run(
             capsys, "enum", "Q", "--alpha", "1,1", "--beta", "1",
@@ -266,7 +280,9 @@ class TestWord:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("word,shape", [("", "0,0"), ("(0,1,2)", "0,1")])
+    @pytest.mark.parametrize("word,shape", [
+        ("", "0,0"), ("(0,1,2)", "0,1"), ("(0,2,2)", "0,5"),
+    ])
     def test_decode_nonpositive_shape(self, capsys, word, shape):
         code, out, err = run(capsys, "word", "decode", word, "--shape", shape)
         assert (code, out) == (2, "")
@@ -350,10 +366,9 @@ class TestVerify:
             "oracle identity: ok\nclassical slice: ok\npath agreement:  ok\n"
         )
 
-    def test_negative_control(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", *WORKED_FLAGS, "--inject-drop-scalar",
-        )
+    def test_negative_control(self, capsys, monkeypatch):
+        with scalars_dropped(monkeypatch):
+            code, out, _ = run(capsys, "verify", *WORKED_FLAGS)
         assert code == 1
         assert "FAIL" in out
         assert out.splitlines()[-1] == (
@@ -562,13 +577,12 @@ OPTIONS = {
     "--format": _or_garbage(st.sampled_from(["text", "json"])),
     "--path": _or_garbage(st.sampled_from(["enumerate", "lift", "both"])),
     "--count-only": None,
-    "--inject-drop-scalar": None,
 }
 SPEC = ("--alpha", "--beta", "--n")
 # subcommand -> (positionals, options it requires, options it may take)
 COMMANDS = {
     "star": ((), SPEC + ("--p", "--q"), ("--path", "--format")),
-    "verify": ((), SPEC + ("--p", "--q"), ("--inject-drop-scalar",)),
+    "verify": ((), SPEC + ("--p", "--q"), ()),
     "enum": (
         (_or_garbage(st.sampled_from(["L", "Q", "A"])),),
         SPEC,

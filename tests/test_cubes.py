@@ -7,7 +7,6 @@ from conftest import WORKED, combinatorial_grid, exact_lifts
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import (
     CubicalMatrix,
-    _level_splits,
     enumerate_Q,
     from_margin,
     from_vector,
@@ -230,37 +229,18 @@ class TestLift:
                         assert g.smash() == gamma
                         assert g.support_level() <= min(top, m)
                         assert g.weight() <= m
-
-
-def recursive_level_splits(total, top, budget):
-    """_level_splits as the plain backtracker, one recursion per level."""
-    counts = [0] * (top + 1)
-
-    def rec(k, rem, w):
-        if k == top:
-            if k * rem <= budget - w:
-                counts[k] = rem
-                yield tuple(counts), w + k * rem
-                counts[k] = 0
-            return
-        for c in range(rem + 1):
-            if w + k * c > budget:
-                break
-            counts[k] = c
-            yield from rec(k + 1, rem - c, w + k * c)
-            counts[k] = 0
-
-    yield from rec(0, total, 0)
+        # one 3-unit cell, so the weight left cuts its level multisets
+        gamma = MarginMatrix(((0, 1), (2, 3)))
+        for top in range(4):
+            full = sorted(lift(gamma, 3 * top, lambda i, j: top))
+            for m in range(5):
+                assert sorted(lift(gamma, m, lambda i, j: top)) == [
+                    g for g in full if g.weight() <= m
+                ]
 
 
 class TestLevelSplits:
-    def test_matches_recursive_reference(self):
-        for total in range(6):
-            for top in range(6):
-                for budget in range(4 * total + 3):
-                    assert list(_level_splits(total, top, budget)) == list(
-                        recursive_level_splits(total, top, budget)
-                    )
+    """How lift spreads one cell's units over its levels."""
 
     def test_deep_single_cell(self):
         # one level per recursion used to exhaust the stack near 1000
@@ -270,9 +250,6 @@ class TestLevelSplits:
         assert [g for g in lifted if g.weight() == 1200] == [
             CubicalMatrix(1, 1, ((1200, 1, 1, 1),))
         ]
-        splits = list(_level_splits(1, 1200, 1200))
-        assert len(splits) == 1201
-        assert splits[0] == ((0,) * 1200 + (1,), 1200)
 
 
 class TestLiftAll:

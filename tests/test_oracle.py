@@ -10,6 +10,7 @@ from conftest import (
     WORKED,
     heavy_entry_grid,
     oracle_grid,
+    scalars_dropped,
     three_entry_grid,
     wide_margin_grid,
 )
@@ -166,7 +167,7 @@ class TestExpandETerm:
             ((1, Monomial2(3, 0)), (1, Monomial2(5, 1)), (1, Monomial2(4, 2))),
         )
         got = expand_eterm(term, 4)
-        brute = NPoly.zero(4)
+        brute = NPoly(4)
         monos = [Monomial2(3, 0), Monomial2(5, 1), Monomial2(4, 2)]
         for picks in permutations(range(1, 5), 3):
             prod = NPoly.constant(4, 2)
@@ -201,7 +202,7 @@ class TestMoyal:
             for q in [X, Monomial2(3, 0), Monomial2(1, 2)]:
                 fp = NPoly.from_monomial(p, 1, 1)
                 fq = NPoly.from_monomial(q, 1, 1)
-                want = NPoly.zero(1)
+                want = NPoly(1)
                 for k, term in star_pair(p, q):
                     want = want + (
                         NPoly.from_monomial(term.mono, 1, 1)
@@ -276,8 +277,9 @@ class TestVerify:
         report = verify(*WORKED)
         assert report.ok
 
-    def test_drop_scalar_negative_control(self):
-        report = verify(*WORKED, drop_scalars=True)
+    def test_drop_scalar_negative_control(self, monkeypatch):
+        with scalars_dropped(monkeypatch):
+            report = verify(*WORKED)
         assert not report.identity_ok
         assert report.details
         # the detail counts the differing orbits and names the first one,
@@ -301,19 +303,20 @@ class TestVerify:
         assert min(differ, key=lambda k: (k[1], k[0])) == first
         assert (lhs[first], rhs[first]) == (1, 3)
 
-    def test_wide_margin_grid(self):
+    def test_wide_margin_grid(self, monkeypatch):
         # two-entry margins of weight 3-4 at n <= 6; dropping the scalars
         # fails exactly where some kernel coefficient is not 1
         checked = 0
         for spec in wide_margin_grid():
             assert verify(*spec).ok, spec
             nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
-            dropped = verify(*spec, drop_scalars=True)
+            with scalars_dropped(monkeypatch):
+                dropped = verify(*spec)
             assert dropped.identity_ok != nontrivial, spec
             checked += nontrivial
         assert checked == 37
 
-    def test_three_entry_grid(self):
+    def test_three_entry_grid(self, monkeypatch):
         # three-entry margins of weight 5-6 at n <= 7, added beside the
         # other grids; dropping the scalars fails exactly where some kernel
         # coefficient is not 1
@@ -321,12 +324,13 @@ class TestVerify:
         for spec in three_entry_grid():
             assert verify(*spec).ok, spec
             nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
-            dropped = verify(*spec, drop_scalars=True)
+            with scalars_dropped(monkeypatch):
+                dropped = verify(*spec)
             assert dropped.identity_ok != nontrivial, spec
             checked += nontrivial
         assert checked == 23
 
-    def test_heavy_entry_grid(self):
+    def test_heavy_entry_grid(self, monkeypatch):
         # three-entry margins of weight 7-8 at n <= 9, added beside the
         # other grids; dropping the scalars fails exactly where some kernel
         # coefficient is not 1
@@ -334,7 +338,8 @@ class TestVerify:
         for spec in heavy_entry_grid():
             assert verify(*spec).ok, spec
             nontrivial = any(t.scalar != 1 for t in star_product(*spec).terms())
-            dropped = verify(*spec, drop_scalars=True)
+            with scalars_dropped(monkeypatch):
+                dropped = verify(*spec)
             assert dropped.identity_ok != nontrivial, spec
             checked += nontrivial
         assert checked == 12
@@ -386,7 +391,7 @@ class TestWorkedExample:
     def test_expand_terms_matches_folded_sum(self):
         n = WORKED[-1]
         terms = list(star_product(*WORKED).terms())
-        folded = NPoly.zero(n)
+        folded = NPoly(n)
         for term in terms:
             folded = folded + expand_eterm(term, n)
         assert expand_terms(terms, n) == folded
