@@ -30,12 +30,7 @@ from .oracle import (
     poisson,
     verify,
 )
-from .tables import (
-    MarginMatrix,
-    classical_product,
-    enumerate_L,
-    interior_support_count,
-)
+from .tables import MarginMatrix, classical_product, enumerate_L
 from .words import (
     ThreeWord,
     decode,

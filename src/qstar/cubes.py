@@ -4,26 +4,24 @@ A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels, held as
 its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
-(smash) lands back in the classical set L.  enumerate_Q reads
-tables.level_stacks; lift has its own walk, which draws each cell's levels
-from combinations_with_replacement, so each checks the other.
+(smash) lands back in the classical set L.  Both routes take L from
+tables.enumerate_L and differ only in how they place the levels:
+level_stacks (behind enumerate_Q and the enumerate route of the star
+product) takes a product of per-cell tables, and lift recurses over the
+cells with a weight left, so each checks the other's placement.  L
+itself is checked by words.enumerate_A at m = 0, not by the other route.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, groupby
+from functools import cache
+from itertools import chain, combinations_with_replacement, groupby, product
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import build_B
-from .tables import (
-    MarginMatrix,
-    _check_margins,
-    enumerate_L,
-    level_stacks,
-    weight,
-)
+from .tables import MarginMatrix, _check_margins, enumerate_L, weight
 
 
 class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
@@ -56,21 +54,12 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
             for j, v in enumerate(row)
         ))
 
-    def size(self) -> int:
-        return sum(run[3] for run in self.entries)
-
     def weight(self) -> int:
         return sum(k * v for k, _, _, v in self.entries)
 
     def support_level(self) -> int:
         # 0 for the all-zero matrix (degenerate)
         return self.entries[-1][0] if self.entries else 0
-
-    def row_margin(self, i: int) -> int:
-        return sum(v for _, ri, _, v in self.entries if ri == i)
-
-    def col_margin(self, j: int) -> int:
-        return sum(v for _, _, cj, v in self.entries if cj == j)
 
     def smash(self) -> MarginMatrix:
         rows = [[0] * (self.b + 1) for _ in range(self.a + 1)]
@@ -84,6 +73,49 @@ def from_margin(gamma: MarginMatrix) -> CubicalMatrix:
     return CubicalMatrix.from_levels((gamma.rows,))
 
 
+def level_stacks(alpha, beta, n, caps, m=None):
+    """Every cubical matrix over L(alpha, beta, n) with levels up to caps.
+
+    For each gamma of enumerate_L, the cubical matrices that smash onto
+    it are the Cartesian product, over its nonzero interior cells (i, j),
+    of the multisets of gamma_ij levels from 0..caps(i, j), with the
+    boundary at level 0.  Each (i, j, units) table of (weight, runs) is
+    built once per call, in combinations_with_replacement order; caps is
+    called with 1-based (i, j).  With m given, a piece heavier than m is
+    left out of its table, and a product whose piece weights do not sum
+    to m is dropped before a matrix is built.  Without m there is no
+    weight bound: with caps K_ij <= S a matrix weighs at most S times
+    its interior units, at most min(|alpha|, |beta|), which is M.
+    """
+    a, b = len(alpha), len(beta)
+
+    @cache
+    def table(i: int, j: int, units: int) -> list:
+        top = caps(i, j)
+        most = top * units if m is None else m  # without m, keep every piece
+        return [
+            (w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
+            for combo in combinations_with_replacement(range(top + 1), units)
+            if (w := sum(combo)) <= most
+        ]
+
+    for gamma in enumerate_L(alpha, beta, n):
+        rows = gamma.rows
+        edge = [(0, i, 0, row[0]) for i, row in enumerate(rows[1:], start=1)]
+        edge += [(0, 0, j, v) for j, v in enumerate(rows[0][1:], start=1)]
+        pieces = [
+            table(i, j, units)
+            for i, row in enumerate(rows[1:], start=1)
+            for j, units in enumerate(row[1:], start=1)
+            if units
+        ]
+        for pick in product(*pieces):
+            if m is None or sum([w for w, _ in pick]) == m:
+                yield CubicalMatrix(a, b, edge + [
+                    run for _, runs in pick for run in runs
+                ])
+
+
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """All cubical matrices in Q(alpha, beta, n, m), in to_vector order.
 
@@ -91,13 +123,7 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    a, b = len(alpha), len(beta)
-    out = [
-        CubicalMatrix(a, b, runs)
-        for runs in level_stacks(
-            alpha, beta, n, lambda i, j: m, m, exact=True
-        )
-    ]
+    out = list(level_stacks(alpha, beta, n, lambda i, j: m, m))
     out.sort(key=lambda g: to_vector(g, levels=m + 1))
     return out
 
@@ -109,7 +135,7 @@ def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
     and row-major.  Each places its units as a multiset of levels from
     combinations_with_replacement over 0..min(m, caps(i, j), weight left),
     kept while its weight fits what is left; the boundary stays at level
-    0.  It calls nothing in tables, so it checks tables.level_stacks.
+    0.  It shares no code with level_stacks, so each checks the other.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -145,8 +171,9 @@ def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
 def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
     """Every lift of weight <= m of each matrix of L(alpha, beta, n).
 
-    One enumerate_L call, which checks the margins and is itself checked
-    against words.enumerate_A; lift places the levels.  In walk order.
+    One enumerate_L call, which checks the margins; lift places the
+    levels.  L itself is not checked here, since level_stacks reads the
+    same enumerate_L: words.enumerate_A at m = 0 checks it.  In walk order.
     """
     return [g for gamma in enumerate_L(alpha, beta, n)
             for g in lift(gamma, m, caps)]

@@ -19,8 +19,13 @@ from .algebra import (
     build_B,
     render_monomial,
 )
-from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
-from .tables import level_stacks, weight
+from .cubes import (
+    CubicalMatrix,
+    contributing_support,
+    level_stacks,
+    lift_all,
+    max_order,
+)
 
 
 def canonical_slots(slots) -> tuple:
@@ -118,14 +123,18 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
     """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
 
-    The enumerate path makes one pass over the level stacks with the cap of
-    cell (i, j) at K_ij and weight at most M, so every matrix contributes.
-    The lift path makes one lift_all call with the same caps and budget, so
-    it builds no vanishing term either, and places the levels without
-    tables.level_stacks.  Each h slice is sorted by (slots, scalar),
-    which orders unequal terms strictly, so the two paths give equal term
-    lists exactly when they give the same multiset of terms, whatever order
-    they come in, and render alike.
+    Both paths take L from enumerate_L and cap cell (i, j) at K_ij, so
+    every matrix they build contributes; they differ only in placing the
+    levels.  The enumerate path takes the product of per-cell level tables
+    (cubes.level_stacks) with no weight bound: a level is at most K_ij <=
+    S and the interior holds at most min(|alpha|, |beta|) units, so no
+    matrix weighs more than M.  The lift path recurses over the cells with
+    lift_all up to M instead.  So the paths check each other's level
+    placement, and words.enumerate_A at m = 0 checks L.  Each h
+    slice is sorted by (slots, scalar), which orders unequal terms
+    strictly, so the two paths give equal term lists exactly when they
+    give the same multiset of terms, whatever order they come in, and
+    render alike.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -133,18 +142,13 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     q = tuple(q)
     if len(p) != len(alpha) or len(q) != len(beta):
         raise ValueError("monomial lists must match multi-index lengths")
-    if weight(alpha) > n or weight(beta) > n:
-        raise ValueError("margins exceed n")
     if path not in ("enumerate", "lift"):
         raise ValueError(f"unknown path {path!r}")
     btable = build_B(p, q)
     s_bound = contributing_support(p, q)
     m_bound = max_order(alpha, beta, n, s_bound)
     if path == "enumerate":
-        gammas = (
-            CubicalMatrix(len(alpha), len(beta), runs)
-            for runs in level_stacks(alpha, beta, n, btable.k_max, m_bound)
-        )
+        gammas = level_stacks(alpha, beta, n, btable.k_max)
     else:
         gammas = lift_all(alpha, beta, n, m_bound, btable.k_max)
     by_order = {}

@@ -9,7 +9,6 @@ classical product of elementary multisymmetric functions.
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, groupby
 from typing import NamedTuple
 
 
@@ -34,27 +33,8 @@ class MarginMatrix(NamedTuple):
         i, j = ij
         return self.rows[i][j]
 
-    def total(self) -> int:
-        return sum(sum(r) for r in self.rows)
-
-    def row_margin(self, i: int) -> int:
-        return sum(self.rows[i])
-
-    def col_margin(self, j: int) -> int:
-        return sum(r[j] for r in self.rows)
-
     def interior_sum(self) -> int:
         return sum(sum(r[1:]) for r in self.rows[1:])
-
-
-def interior_support_count(gamma: MarginMatrix) -> int:
-    """Number of nonzero entries outside row 0 and column 0."""
-    return sum(
-        1
-        for row in gamma.rows[1:]
-        for v in row[1:]
-        if v != 0
-    )
 
 
 def _check_margins(alpha, beta, n):
@@ -69,83 +49,43 @@ def _check_margins(alpha, beta, n):
         raise ValueError("multi-index entries must be nonnegative")
 
 
-def level_stacks(alpha, beta, n, caps, budget, exact=False):
-    """Level stacks Gamma^0..Gamma^s of the cubical matrices over L.
+def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
+    """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
 
-    Walks the interior cells (i, j) row-major; cell (i, j) takes t units,
-    t at most both residual margins, placed as a multiset of t levels drawn
-    from 0..min(caps(i, j), weight left).  Each cell's multisets are built
-    once per call, as pieces[cell][t]: the (weight, runs) of each multiset
-    of levels up to min(caps(i, j), budget), in
-    combinations_with_replacement order, that some stack can use (weight
-    at most budget and, when exact, at least what the other cells cannot
-    take); a visit keeps those within the weight left.  No recursion grows
-    with the caps.  The residual margins form the level-0 boundary.  Yields
-    every stack of total at most n and weight at most budget (exactly
-    budget when exact) as a list of (k, i, j, v) runs, unsorted and
-    possibly with v = 0 on the boundary, which is the input CubicalMatrix
-    takes; caps is called with 1-based (i, j).
+    A walk over the interior margins: each step puts t >= 1 units in a
+    later interior cell, row-major, t at most both residual margins, so
+    the recursion is at most as deep as the interior units, min(|alpha|,
+    |beta|), however many cells there are.  The residual margins form the
+    boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
     a, b = len(alpha), len(beta)
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    tops = [min(caps(i, j), budget) for i, j in cells]
-    most = [top * min(alpha[i - 1], beta[j - 1])
-            for top, (i, j) in zip(tops, cells)]
-    pieces = []
-    for top, most_here, (i, j) in zip(tops, most, cells):
-        least = budget - sum(most) + most_here if exact else 0
-        by_t = []
-        for t in range(min(alpha[i - 1], beta[j - 1]) + 1):
-            by_t.append([
-                (w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
-                for combo in combinations_with_replacement(range(top + 1), t)
-                if least <= (w := sum(combo)) <= budget
-            ])
-        pieces.append(by_t)
     # total = |alpha| + |beta| - (interior units), so total <= n needs this
     min_units = weight(alpha) + weight(beta) - n
-    ra = list(alpha)
-    rb = list(beta)
-    picks = [()] * len(cells)  # the runs of each cell's level multiset
-
-    def walk(idx: int, wleft: int, units: int):
-        if idx == len(cells):
-            if units >= min_units and not (exact and wleft):
-                runs = [(0, i, 0, v) for i, v in enumerate(ra, start=1)]
-                runs += [(0, 0, j, v) for j, v in enumerate(rb, start=1)]
-                runs += chain.from_iterable(picks)
-                yield runs
-            return
-        i, j = cells[idx]
-        by_t = pieces[idx]
-        for t in range(min(ra[i - 1], rb[j - 1]) + 1):
-            ra[i - 1] -= t
-            rb[j - 1] -= t
-            for w, runs in by_t[t]:
-                if w <= wleft:
-                    picks[idx] = runs
-                    yield from walk(idx + 1, wleft - w, units + t)
-            ra[i - 1] += t
-            rb[j - 1] += t
-
-    yield from walk(0, budget, 0)
-
-
-def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
-    """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
-
-    The level stacks with every cap and the weight budget at 0.
-    """
-    a, b = len(alpha), len(beta)
+    rows = [[0] * (b + 1) for _ in range(a + 1)]
+    rows[0][1:] = beta
+    for i, v in enumerate(alpha, start=1):
+        rows[i][0] = v
     out = []
-    for runs in level_stacks(alpha, beta, n, lambda i, j: 0, 0):
-        rows = [[0] * (b + 1) for _ in range(a + 1)]
-        for _, i, j, v in runs:
-            rows[i][j] = v
-        out.append(MarginMatrix(tuple(map(tuple, rows))))
+
+    def walk(start: int, units: int):
+        if units >= min_units:
+            out.append(MarginMatrix(tuple(map(tuple, rows))))
+        for idx in range(start, len(cells)):
+            i, j = cells[idx]
+            for t in range(1, min(rows[i][0], rows[0][j]) + 1):
+                rows[i][0] -= t
+                rows[0][j] -= t
+                rows[i][j] = t
+                walk(idx + 1, units + t)
+                rows[i][0] += t
+                rows[0][j] += t
+            rows[i][j] = 0
+
+    walk(0, 0)
     out.sort(key=lambda g: g.rows)
     return out
 

@@ -174,7 +174,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
 
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
-    type and weight budgets and does not call tables.level_stacks.
+    type and weight budgets and calls neither tables.enumerate_L nor
+    cubes.level_stacks; at m = 0 it checks enumerate_L.
     Each recursion takes at least one column of a later candidate, so
     the depth is at most the column count, whatever m is.  Two cuts drop
     every branch that cannot complete.  Candidates come in order of

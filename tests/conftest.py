@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import qstar.oracle
 from qstar.algebra import Monomial2
-from qstar.cubes import lift_all
+from qstar.cubes import CubicalMatrix, lift_all
 from qstar.expansion import ETerm
 
 # Multi-indices with up to two entries, each at most 2.
@@ -61,6 +61,35 @@ def exact_lifts(alpha, beta, n, m, caps=None):
     return sorted(
         g for g in lift_all(alpha, beta, n, m, caps) if g.weight() == m
     )
+
+
+def size(gamma):
+    """Units in a cubical matrix, boundary included."""
+    return sum(v for _, _, _, v in gamma.entries)
+
+
+def total(gamma):
+    """Sum of every entry of a margin matrix."""
+    return sum(sum(row) for row in gamma.rows)
+
+
+def row_margin(gamma, i):
+    """Row sum i of a margin matrix, or over all levels of a cubical one."""
+    if isinstance(gamma, CubicalMatrix):
+        return sum(v for _, ri, _, v in gamma.entries if ri == i)
+    return sum(gamma.rows[i])
+
+
+def col_margin(gamma, j):
+    """Column sum j of a margin matrix, or over all levels of a cubical one."""
+    if isinstance(gamma, CubicalMatrix):
+        return sum(v for _, _, cj, v in gamma.entries if cj == j)
+    return sum(row[j] for row in gamma.rows)
+
+
+def interior_support_count(gamma):
+    """Nonzero entries of a margin matrix outside row 0 and column 0."""
+    return sum(1 for row in gamma.rows[1:] for v in row[1:] if v != 0)
 
 
 def small_monomials(max_exp=2):

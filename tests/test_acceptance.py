@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import WORKED, combinatorial_grid, exact_lifts, oracle_grid
+from conftest import (
+    WORKED,
+    combinatorial_grid,
+    exact_lifts,
+    interior_support_count,
+    oracle_grid,
+    size,
+)
 from qstar.algebra import (
     Monomial2,
     build_B,
@@ -37,12 +44,7 @@ from qstar.oracle import (
     poisson,
     verify,
 )
-from qstar.tables import (
-    MarginMatrix,
-    classical_product,
-    enumerate_L,
-    interior_support_count,
-)
+from qstar.tables import MarginMatrix, classical_product, enumerate_L
 from qstar.words import decode, encode, enumerate_A, in_A, word_stats
 
 WORKED_H0_VECTORS = {
@@ -307,9 +309,9 @@ def test_criterion_5_three_word_bijection():
             assert in_A(w, alpha, beta, n, m) is None
             assert decode(w, shape=shape) == g
             n_cols, s, weight, walpha, wbeta = word_stats(w)
-            assert n_cols == g.size()
+            assert n_cols == size(g)
             assert weight == g.weight()
-            if g.size():
+            if size(g):
                 assert s == g.support_level()
         for w in words_set:
             assert encode(decode(w, shape=shape)) == w

@@ -377,6 +377,24 @@ class TestVerify:
         )
 
 
+class TestLongMargins:
+    # one interior cell per row, a thousand of them, and one interior unit
+    # in all: a walk that recursed once per cell would hit the recursion
+    # limit here
+    SPEC = ["--alpha", ",".join(["1"] * 1000), "--beta", "1", "--n", "1000"]
+
+    def test_enum_l(self, capsys):
+        code, out, err = run(capsys, "enum", "L", *self.SPEC, "--count-only")
+        assert (code, out, err) == (0, "1000\n", "")
+
+    def test_star(self, capsys):
+        code, out, err = run(capsys, "star", *self.SPEC,
+                             "--p", ",".join(["x"] * 1000), "--q", "y")
+        # the unit lands in one of 1,000 rows, each giving the same term
+        term = f"e_({','.join(['1'] * 1000)})({'x,' * 999}xy)"
+        assert (code, out, err) == (0, " + ".join([term] * 1000) + "\n", "")
+
+
 class TestInternalError:
     def test_any_fault_exits_4(self, capsys, monkeypatch):
         def broken(*args):

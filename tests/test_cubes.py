@@ -3,7 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import WORKED, combinatorial_grid, exact_lifts
+from conftest import (
+    WORKED,
+    col_margin,
+    combinatorial_grid,
+    exact_lifts,
+    interior_support_count,
+    row_margin,
+    size,
+)
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import (
     CubicalMatrix,
@@ -16,7 +24,7 @@ from qstar.cubes import (
     max_support,
     to_vector,
 )
-from qstar.tables import MarginMatrix, enumerate_L, interior_support_count
+from qstar.tables import MarginMatrix, enumerate_L
 from qstar.words import encode
 
 X = Monomial2(1, 0)
@@ -90,10 +98,10 @@ class TestEnumerateQ:
             for k, i, j, _ in g.entries:
                 assert (i, j) != (0, 0)
                 assert k == 0 or (i and j)
-            assert g.size() <= 4
+            assert size(g) <= 4
             assert g.weight() == 2
-            assert (g.row_margin(1), g.row_margin(2)) == (1, 2)
-            assert (g.col_margin(1), g.col_margin(2)) == (2, 1)
+            assert (row_margin(g, 1), row_margin(g, 2)) == (1, 2)
+            assert (col_margin(g, 1), col_margin(g, 2)) == (2, 1)
 
     def test_deep_level_cap(self):
         # the recursion depth of the enumerator does not grow with the cap

@@ -146,7 +146,7 @@ class TestStarProduct:
 
     def test_lift_path_enumerates_L_once(self, monkeypatch):
         # one lift_all call up to M, where each m used to enumerate L anew;
-        # the levels are placed without tables.level_stacks
+        # the levels are placed without cubes.level_stacks
         calls = []
         original = qstar.cubes.enumerate_L
 

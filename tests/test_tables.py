@@ -2,18 +2,19 @@ import itertools
 from itertools import chain, combinations_with_replacement, groupby
 
 import pytest
-from conftest import combinatorial_grid
+from conftest import (
+    col_margin,
+    combinatorial_grid,
+    interior_support_count,
+    row_margin,
+    total,
+)
 
 from qstar.algebra import Monomial2
+from qstar.cubes import CubicalMatrix, level_stacks
 from qstar.expansion import ETerm
 from qstar.oracle import expand_elementary, expand_terms
-from qstar.tables import (
-    MarginMatrix,
-    classical_product,
-    enumerate_L,
-    interior_support_count,
-    level_stacks,
-)
+from qstar.tables import MarginMatrix, classical_product, enumerate_L
 
 X = Monomial2(1, 0)
 Y = Monomial2(0, 1)
@@ -34,11 +35,11 @@ def brute_force_L(alpha, beta, n):
     found = set()
     for rows in itertools.product(rows_at_most_n, repeat=a + 1):
         g = MarginMatrix(rows)
-        if g[0, 0] != 0 or g.total() > n:
+        if g[0, 0] != 0 or total(g) > n:
             continue
-        if any(g.row_margin(i) != alpha[i - 1] for i in range(1, a + 1)):
+        if any(row_margin(g, i) != alpha[i - 1] for i in range(1, a + 1)):
             continue
-        if any(g.col_margin(j) != beta[j - 1] for j in range(1, b + 1)):
+        if any(col_margin(g, j) != beta[j - 1] for j in range(1, b + 1)):
             continue
         found.add(g)
     return found
@@ -62,9 +63,9 @@ class TestEnumerateL:
     def test_defining_conditions(self):
         for g in enumerate_L((1, 2), (2, 1), 4):
             assert g[0, 0] == 0
-            assert g.total() <= 4
-            assert (g.row_margin(1), g.row_margin(2)) == (1, 2)
-            assert (g.col_margin(1), g.col_margin(2)) == (2, 1)
+            assert total(g) <= 4
+            assert (row_margin(g, 1), row_margin(g, 2)) == (1, 2)
+            assert (col_margin(g, 1), col_margin(g, 2)) == (2, 1)
 
     def test_canonical_order(self):
         mats = enumerate_L((1, 1), (2, 1), 4)
@@ -131,10 +132,12 @@ class TestClassicalProduct:
 
 
 def reference_level_stacks(alpha, beta, n, caps, budget, exact=False):
-    """The level-stack walk as it was before its per-call piece tables.
+    """The level-stack walk before it took L from enumerate_L.
 
-    It regroups each cell's level multisets on every visit; the kernel
-    must yield the same run lists in the same order.
+    One recursion over every interior cell that places each cell's units
+    and levels together under a weight budget (exactly budget when exact),
+    regrouping each cell's level multisets on every visit.  Yields the
+    matrices as run lists.
     """
     a, b = len(alpha), len(beta)
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
@@ -171,7 +174,25 @@ def reference_level_stacks(alpha, beta, n, caps, budget, exact=False):
     yield from walk(0, budget, 0)
 
 
+def reference_stacks(alpha, beta, n, caps, m=None):
+    """The reference's matrices, sorted, for the arguments of level_stacks.
+
+    Without m the reference runs at a budget that cannot bind, the top cap
+    times the most interior units; with m, at exactly m.
+    """
+    a, b = len(alpha), len(beta)
+    if m is None:
+        top = max(caps(i, j) for i in range(1, a + 1) for j in range(1, b + 1))
+        runs = reference_level_stacks(
+            alpha, beta, n, caps, top * min(sum(alpha), sum(beta))
+        )
+    else:
+        runs = reference_level_stacks(alpha, beta, n, caps, m, exact=True)
+    return sorted(CubicalMatrix(a, b, r) for r in runs)
+
+
 class TestLevelStacks:
+    # the walk order differs from the reference's, so multisets are compared
     @pytest.mark.parametrize("exact", [False, True])
     def test_matches_reference_walk(self, exact):
         specs = sorted({(a, b, n) for a, b, n, _ in combinatorial_grid()})
@@ -179,21 +200,23 @@ class TestLevelStacks:
         cap_rules.append(lambda i, j: (i + 2 * j) % 4)  # unequal caps
         for alpha, beta, n in specs:
             for caps in cap_rules:
-                for budget in range(7):
-                    args = (alpha, beta, n, caps, budget, exact)
-                    assert list(level_stacks(*args)) == list(
-                        reference_level_stacks(*args)
+                for m in range(7) if exact else [None]:
+                    args = (alpha, beta, n, caps, m)
+                    assert sorted(level_stacks(*args)) == reference_stacks(
+                        *args
                     ), args
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("units,top,count,exact_count", [
         (1, 1500, 1 + 1501, 1),
-        (2, 300, 301 + 22_801, 1 + 151),  # one or two units in the cell
+        # C(302, 2) = 45,451 stacks of two units, with no weight budget
+        (2, 300, 301 + 45_451, 1 + 151),
     ])
     def test_matches_reference_on_a_deep_cell(
         self, exact, units, top, count, exact_count,
     ):
-        args = ((units,), (units,), units + 1, lambda i, j: top, top, exact)
-        got = list(level_stacks(*args))
-        assert got == list(reference_level_stacks(*args))
+        args = ((units,), (units,), units + 1, lambda i, j: top,
+                top if exact else None)
+        got = sorted(level_stacks(*args))
+        assert got == reference_stacks(*args)
         assert len(got) == (exact_count if exact else count)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import combinatorial_grid
+from conftest import col_margin, combinatorial_grid, row_margin, size
 from qstar.cubes import CubicalMatrix, enumerate_Q, from_margin
 from qstar.tables import MarginMatrix, weight
 from qstar.words import (
@@ -188,14 +188,14 @@ class TestWordStats:
         for m in range(3):
             for g in enumerate_Q((1, 2), (2, 1), 4, m):
                 n_cols, s, weight, alpha, beta = word_stats(encode(g))
-                assert n_cols == g.size()
-                assert s == g.support_level() or g.size() == 0
+                assert n_cols == size(g)
+                assert s == g.support_level() or size(g) == 0
                 assert weight == g.weight()
                 assert alpha == tuple(
-                    g.row_margin(i) for i in range(1, g.a + 1)
+                    row_margin(g, i) for i in range(1, g.a + 1)
                 )
                 assert beta == tuple(
-                    g.col_margin(j) for j in range(1, g.b + 1)
+                    col_margin(g, j) for j in range(1, g.b + 1)
                 )
 
 
