@@ -7,14 +7,9 @@ and multiplies them with the Moyal bidifferential formula.  The two answers
 must agree coefficient for coefficient.
 """
 
-from qstar import (
-    expand_elementary,
-    expand_terms,
-    moyal,
-    parse_monomial,
-    star_product,
-    verify,
-)
+from qstar.algebra import parse_monomial
+from qstar.expansion import star_product
+from qstar.oracle import expand_elementary, expand_terms, moyal, verify
 
 alpha = (1, 1)
 beta = (2, 1)

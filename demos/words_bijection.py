@@ -6,7 +6,8 @@ and decodes each matrix, and prints the statistics recovered from the word
 alone: column count, top level, total weight, and both margin vectors.
 """
 
-from qstar import decode, encode, enumerate_Q, word_stats
+from qstar.cubes import enumerate_Q
+from qstar.words import decode, encode, word_stats
 
 alpha = (2, 1)
 beta = (1, 2)

@@ -6,17 +6,15 @@ star products B(p,q), the classical margin matrices, the cubical matrices
 grouped by hbar order, and the final expansion.
 """
 
-from qstar import (
-    build_B,
-    enumerate_L,
-    enumerate_Q,
-    render,
-    render_monomial,
-    star_product,
-    to_vector,
+from qstar.algebra import (
     ScaledMonomial,
+    build_B,
     parse_monomial,
+    render_monomial,
 )
+from qstar.cubes import enumerate_Q, to_vector
+from qstar.expansion import render, star_product
+from qstar.tables import enumerate_L
 
 alpha = (1, 1)
 beta = (2, 1)

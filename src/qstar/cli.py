@@ -3,25 +3,29 @@
 Subcommands: star (full expansion), enum (L / Q / A listings), word
 (3-word codec) and verify (oracle cross-check).  Exit codes: 0 ok,
 1 verification failure, 2 input error, 3 internal path mismatch, 4 internal
-error (any other exception, reported as one "error: internal:" line).
-All output is deterministic for fixed inputs.  A process builds the
-argument parser once and reuses it for every main() call.
+error (any other exception, reported as one "error: internal:" line), 141
+(128 + SIGPIPE, silently) when the output's reader leaves early, as in
+`qstar ... | head`.  All output is deterministic for fixed inputs.  Only
+verify loads the oracle.  A process builds the argument parser once and
+reuses it for every main() call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import contextmanager
 
-from . import algebra, cubes, expansion, oracle, tables, words
+from . import algebra, cubes, expansion, tables, words
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PATH_MISMATCH = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 # the enum options each kind reads; the others are refused, not ignored
 ENUM_OPTIONS = {
@@ -127,7 +131,7 @@ def _emit(text: str, output: str | None):
         with open(output, "w") as fh:
             fh.write(text + "\n" if text else text)
     elif text:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main
 
 
 def _add_spec_args(parser, need_pq=True):
@@ -143,8 +147,6 @@ def _read_spec(args):
     alpha = _parse_multiindex(args.alpha)
     beta = _parse_multiindex(args.beta)
     spec = {"alpha": alpha, "beta": beta, "n": args.n}
-    if tables.weight(alpha) > args.n or tables.weight(beta) > args.n:
-        raise ValueError("margin weights exceed n")
     spec["p"], spec["q"] = _read_monomials(args, alpha, beta)
     return spec
 
@@ -259,6 +261,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # the only command that needs it
+
     spec = _read_spec(args)
     report = oracle.verify(
         spec["alpha"], spec["beta"], spec["p"], spec["q"], spec["n"]
@@ -338,6 +342,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        if not args.output:  # fd 1 to devnull: the exit flush writes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -68,11 +68,6 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
         return MarginMatrix(tuple(map(tuple, rows)))
 
 
-def from_margin(gamma: MarginMatrix) -> CubicalMatrix:
-    """Embed a classical matrix as a single level-0 cubical matrix."""
-    return CubicalMatrix.from_levels((gamma.rows,))
-
-
 def level_stacks(alpha, beta, n, caps, m=None):
     """Every cubical matrix over L(alpha, beta, n) with levels up to caps.
 

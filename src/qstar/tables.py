@@ -33,9 +33,6 @@ class MarginMatrix(NamedTuple):
         i, j = ij
         return self.rows[i][j]
 
-    def interior_sum(self) -> int:
-        return sum(sum(r[1:]) for r in self.rows[1:])
-
 
 def _check_margins(alpha, beta, n):
     if weight(alpha) > n or weight(beta) > n:
@@ -55,8 +52,9 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     A walk over the interior margins: each step puts t >= 1 units in a
     later interior cell, row-major, t at most both residual margins, so
     the recursion is at most as deep as the interior units, min(|alpha|,
-    |beta|), however many cells there are.  The residual margins form the
-    boundary.
+    |beta|), however many cells there are.  A branch holding that many
+    units has spent every row or every column margin, so it stops there.
+    The residual margins form the boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -65,6 +63,7 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
     # total = |alpha| + |beta| - (interior units), so total <= n needs this
     min_units = weight(alpha) + weight(beta) - n
+    full = min(weight(alpha), weight(beta))
     rows = [[0] * (b + 1) for _ in range(a + 1)]
     rows[0][1:] = beta
     for i, v in enumerate(alpha, start=1):
@@ -74,6 +73,8 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     def walk(start: int, units: int):
         if units >= min_units:
             out.append(MarginMatrix(tuple(map(tuple, rows))))
+            if units == full:
+                return
         for idx in range(start, len(cells)):
             i, j = cells[idx]
             for t in range(1, min(rows[i][0], rows[0][j]) + 1):

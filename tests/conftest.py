@@ -73,6 +73,16 @@ def total(gamma):
     return sum(sum(row) for row in gamma.rows)
 
 
+def interior_sum(gamma):
+    """Units of a margin matrix outside row 0 and column 0."""
+    return sum(sum(row[1:]) for row in gamma.rows[1:])
+
+
+def from_margin(gamma):
+    """A margin matrix embedded as a single level-0 cubical matrix."""
+    return CubicalMatrix.from_levels((gamma.rows,))
+
+
 def row_margin(gamma, i):
     """Row sum i of a margin matrix, or over all levels of a cubical one."""
     if isinstance(gamma, CubicalMatrix):

@@ -16,6 +16,7 @@ from conftest import (
     WORKED,
     combinatorial_grid,
     exact_lifts,
+    interior_sum,
     interior_support_count,
     oracle_grid,
     size,
@@ -189,7 +190,7 @@ def test_criterion_4_combinatorial_propositions():
             # weight m >= 1 needs a unit at a level k >= 1, and only
             # interior cells have such levels
             smashes = {g.smash() for g in q_set}
-            reachable = {g for g in classical if g.interior_sum() >= 1}
+            reachable = {g for g in classical if interior_sum(g) >= 1}
             if smashes != reachable:
                 failures.append((
                     "smash image != {g in L : interior sum >= 1}",
@@ -197,7 +198,7 @@ def test_criterion_4_combinatorial_propositions():
                 ))
             for g in set(classical) - smashes:
                 smash_gaps.add((alpha, beta, n, m, g))
-                if g.interior_sum() != 0:
+                if interior_sum(g) != 0:
                     failures.append((
                         "published smash gap with nonzero interior",
                         alpha, beta, n, m, g,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ from qstar import cli
 from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
 
+SRC = Path(cli.__file__).resolve().parent.parent
+# the line enum prints too: the library checks the margins, once
+MARGIN_ERROR = "error: margins exceed n: |alpha|=3, |beta|=1, n=2\n"
 WORKED_FLAGS = [
     "--alpha", "1,1", "--beta", "2,1",
     "--p", "x^2y,x^3y", "--q", "x^3,x^2y^2", "--n", "4",
@@ -59,12 +63,11 @@ class TestStar:
         assert out
 
     def test_invalid_margin(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "star", "--alpha", "3", "--beta", "1",
             "--p", "x", "--q", "y", "--n", "2",
         )
-        assert code == 2
-        assert "error" in err
+        assert (code, out, err) == (2, "", MARGIN_ERROR)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
@@ -344,6 +347,13 @@ class TestWord:
 
 
 class TestVerify:
+    def test_invalid_margin(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--alpha", "3", "--beta", "1",
+            "--p", "x", "--q", "y", "--n", "2",
+        )
+        assert (code, out, err) == (2, "", MARGIN_ERROR)
+
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, "verify", *WORKED_FLAGS)
         assert code == 0
@@ -394,6 +404,24 @@ class TestLongMargins:
         term = f"e_({','.join(['1'] * 1000)})({'x,' * 999}xy)"
         assert (code, out, err) == (0, " + ".join([term] * 1000) + "\n", "")
 
+    @pytest.mark.parametrize("argv", [
+        ["star", "--p", ",".join(["x"] * 1000), "--q", "y"],
+        ["enum", "L"],
+    ], ids=["star", "enum-L"])
+    def test_reader_leaves_early(self, argv):
+        # qstar ... | head -c 100: a closed stdout is not bad input; exit
+        # as the shell reports SIGPIPE, with nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qstar.cli", *argv, *self.SPEC],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
 
 class TestInternalError:
     def test_any_fault_exits_4(self, capsys, monkeypatch):
@@ -417,21 +445,42 @@ class TestInternalError:
         assert exc.value.code == 2
 
 
+def fresh(code, *args):
+    """stdout of code in a new process with SRC first on sys.path.
+
+    -S keeps site's .pth hooks from loading modules themselves.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); " + code,
+         str(SRC), *args],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return proc.stdout
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_json(self):
-        # -S keeps site's .pth hooks from loading these modules themselves
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import qstar.cli; "
-            "qstar.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'json'}"
+            "import qstar.cli; qstar.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'qstar.oracle'}"
             " & set(sys.modules)))"
         )
-        src = Path(cli.__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, str(src)],
-            capture_output=True, text=True, timeout=60, check=True,
+        assert fresh(code) == "[]\n"  # nor the oracle
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["star", *WORKED_FLAGS], False),
+        (["enum", "Q", "--alpha", "1,1", "--beta", "2,1", "--n", "4",
+          "--m", "1"], False),
+        (["word", "stats", "(0,2,2)"], False),
+        (["verify", *WORKED_FLAGS], True),
+    ], ids=["star", "enum", "word", "verify"])
+    def test_only_verify_loads_the_oracle(self, argv, loaded):
+        code = (
+            "from qstar.cli import main; rc = main(sys.argv[2:]); "
+            "print(rc, 'qstar.oracle' in sys.modules)"
         )
-        assert proc.stdout == "[]\n"
+        assert fresh(code, *argv).splitlines()[-1] == f"0 {loaded}"
 
 
 class TestParser:

@@ -8,6 +8,8 @@ from conftest import (
     col_margin,
     combinatorial_grid,
     exact_lifts,
+    from_margin,
+    interior_sum,
     interior_support_count,
     row_margin,
     size,
@@ -16,7 +18,6 @@ from qstar.algebra import Monomial2, build_B
 from qstar.cubes import (
     CubicalMatrix,
     enumerate_Q,
-    from_margin,
     from_vector,
     lift,
     lift_all,
@@ -325,7 +326,7 @@ class TestBounds:
     def test_order_matches_largest_interior_sum(self):
         for alpha, beta, n, s in combinatorial_grid():
             reference = s * max(
-                g.interior_sum() for g in enumerate_L(alpha, beta, n)
+                interior_sum(g) for g in enumerate_L(alpha, beta, n)
             )
             assert max_order(alpha, beta, n, s) == reference
 
@@ -449,7 +450,7 @@ class TestGridProperties:
                 expected = {
                     g
                     for g in enumerate_L(alpha, beta, n)
-                    if g.interior_sum() >= 1
+                    if interior_sum(g) >= 1
                 }
                 assert smashes == expected
             if m == 1:

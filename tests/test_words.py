@@ -1,8 +1,14 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import col_margin, combinatorial_grid, row_margin, size
-from qstar.cubes import CubicalMatrix, enumerate_Q, from_margin
+from conftest import (
+    col_margin,
+    combinatorial_grid,
+    from_margin,
+    row_margin,
+    size,
+)
+from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.tables import MarginMatrix, weight
 from qstar.words import (
     ThreeWord,
