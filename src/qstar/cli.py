@@ -143,24 +143,17 @@ def _add_spec_args(parser, need_pq=True):
         parser.add_argument("--q", required=True)
 
 
-def _read_spec(args):
+def _read_spec(args) -> tuple:
+    """(alpha, beta, p, q, n), as star_product and verify take them."""
     alpha = _parse_multiindex(args.alpha)
     beta = _parse_multiindex(args.beta)
-    spec = {"alpha": alpha, "beta": beta, "n": args.n}
-    spec["p"], spec["q"] = _read_monomials(args, alpha, beta)
-    return spec
+    return (alpha, beta, *_read_monomials(args, alpha, beta), args.n)
 
 
 def cmd_star(args) -> int:
     spec = _read_spec(args)
     paths = ["enumerate", "lift"] if args.path == "both" else [args.path]
-    results = [
-        expansion.star_product(
-            spec["alpha"], spec["beta"], spec["p"], spec["q"], spec["n"],
-            path=path,
-        )
-        for path in paths
-    ]
+    results = [expansion.star_product(*spec, path=path) for path in paths]
     if len(results) == 2:
         if list(results[0].terms()) != list(results[1].terms()):
             print("error: enumerate and lift paths disagree", file=sys.stderr)
@@ -242,8 +235,7 @@ def cmd_word(args) -> int:
     omega = _parse_word(args.input)
     bad = words.validate_word(omega)
     if bad is not None:
-        print(f"error: invalid word: {bad}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"invalid word: {bad}")
     if args.action == "decode":
         shape = _parse_shape(args.shape) if args.shape else None
         gamma = words.decode(omega, shape=shape)
@@ -264,9 +256,7 @@ def cmd_verify(args) -> int:
     from . import oracle  # the only command that needs it
 
     spec = _read_spec(args)
-    report = oracle.verify(
-        spec["alpha"], spec["beta"], spec["p"], spec["q"], spec["n"]
-    )
+    report = oracle.verify(*spec)
     lines = [
         f"oracle identity: {'ok' if report.identity_ok else 'FAIL'}",
         f"classical slice: {'ok' if report.classical_ok else 'FAIL'}",

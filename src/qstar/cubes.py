@@ -7,15 +7,15 @@ Gamma^k_ij is the power of h a term contributes, and the levelwise sum
 (smash) lands back in the classical set L.  Both routes take L from
 tables.enumerate_L and differ only in how they place the levels:
 level_stacks (behind enumerate_Q and the enumerate route of the star
-product) takes a product of per-cell tables, and lift recurses over the
-cells with a weight left, so each checks the other's placement.  L
-itself is checked by words.enumerate_A at m = 0, not by the other route.
+product) takes a product of per-cell tables, and lift folds over the
+cells with the weight still left, so each checks the other's placement.
+L itself is checked by words.enumerate_A at m = 0, not by the other route.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
@@ -124,43 +124,35 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
 
 
 def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
-    """Every cubical matrix of weight <= m whose smash is gamma, in walk order.
+    """Every cubical matrix of weight <= m whose smash is gamma, in fold order.
 
-    The recursion runs over gamma's nonzero interior cells (i, j), 1-based
-    and row-major.  Each places its units as a multiset of levels from
-    combinations_with_replacement over 0..min(m, caps(i, j), weight left),
-    kept while its weight fits what is left; the boundary stays at level
-    0.  It shares no code with level_stacks, so each checks the other.
+    A fold over gamma's nonzero interior cells (i, j), 1-based and
+    row-major, from the boundary at level 0 with weight m left.  Each cell
+    extends every partial lift, in order, by each multiset of its units'
+    levels from combinations_with_replacement over 0..min(m, caps(i, j),
+    weight left) that fits what is left.  Every partial lift can be
+    finished at level 0, so no partial is dropped.  It shares no code with
+    level_stacks, so each checks the other.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cells = [
-        (i, j, gamma[i, j], min(m, caps(i, j)))
-        for i in range(1, gamma.a + 1)
-        for j in range(1, gamma.b + 1)
-        if gamma[i, j]
-    ]
     edge = [(0, i, 0, gamma[i, 0]) for i in range(1, gamma.a + 1)]
     edge += [(0, 0, j, gamma[0, j]) for j in range(1, gamma.b + 1)]
-    chosen = [()] * len(cells)
-    out = []
-
-    def rec(idx: int, wleft: int):
-        if idx == len(cells):
-            runs = edge + list(chain.from_iterable(chosen))
-            out.append(CubicalMatrix(gamma.a, gamma.b, runs))
-            return
-        i, j, units, top = cells[idx]
-        levels = range(min(top, wleft) + 1)
-        for combo in combinations_with_replacement(levels, units):
-            if (w := sum(combo)) <= wleft:
-                chosen[idx] = [
-                    (k, i, j, len(list(run))) for k, run in groupby(combo)
-                ]
-                rec(idx + 1, wleft - w)
-
-    rec(0, m)
-    return out
+    partial = [(edge, m)]
+    for i in range(1, gamma.a + 1):
+        for j in range(1, gamma.b + 1):
+            if not (units := gamma[i, j]):
+                continue
+            top = min(m, caps(i, j))
+            partial = [
+                (runs + [(k, i, j, len(list(run)))
+                         for k, run in groupby(combo)], wleft - w)
+                for runs, wleft in partial
+                for combo in combinations_with_replacement(
+                    range(min(top, wleft) + 1), units)
+                if (w := sum(combo)) <= wleft
+            ]
+    return [CubicalMatrix(gamma.a, gamma.b, runs) for runs, _ in partial]
 
 
 def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
@@ -168,7 +160,7 @@ def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
 
     One enumerate_L call, which checks the margins; lift places the
     levels.  L itself is not checked here, since level_stacks reads the
-    same enumerate_L: words.enumerate_A at m = 0 checks it.  In walk order.
+    same enumerate_L: words.enumerate_A at m = 0 checks it.  In fold order.
     """
     return [g for gamma in enumerate_L(alpha, beta, n)
             for g in lift(gamma, m, caps)]

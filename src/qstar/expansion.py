@@ -128,7 +128,7 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     levels.  The enumerate path takes the product of per-cell level tables
     (cubes.level_stacks) with no weight bound: a level is at most K_ij <=
     S and the interior holds at most min(|alpha|, |beta|) units, so no
-    matrix weighs more than M.  The lift path recurses over the cells with
+    matrix weighs more than M.  The lift path folds over the cells with
     lift_all up to M instead.  So the paths check each other's level
     placement, and words.enumerate_A at m = 0 checks L.  Each h
     slice is sorted by (slots, scalar), which orders unequal terms

@@ -54,7 +54,9 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     the recursion is at most as deep as the interior units, min(|alpha|,
     |beta|), however many cells there are.  A branch holding that many
     units has spent every row or every column margin, so it stops there.
-    The residual margins form the boundary.
+    The cells from row i on take at most the row margins left in rows
+    i..a, so a scan ends once those cannot bring the units up to the
+    total <= n bound.  The residual margins form the boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -77,6 +79,8 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
                 return
         for idx in range(start, len(cells)):
             i, j = cells[idx]
+            if units + sum(row[0] for row in rows[i:]) < min_units:
+                return  # rows i..a cannot hold the units still needed
             for t in range(1, min(rows[i][0], rows[0][j]) + 1):
                 rows[i][0] -= t
                 rows[0][j] -= t

@@ -177,13 +177,13 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     type and weight budgets and calls neither tables.enumerate_L nor
     cubes.level_stacks; at m = 0 it checks enumerate_L.
     Each recursion takes at least one column of a later candidate, so
-    the depth is at most the column count, whatever m is.  Two cuts drop
-    every branch that cannot complete.  Candidates come in order of
-    level s and the top level is m, so the rem columns left must carry a
-    weight in [s*rem, m*rem].  Boundary columns (row or column value 1)
-    exist only at level 0, so once s > 0 their residual counts ti[1] and
-    tj[1] must already be spent.  Both cuts then hold for every later
-    candidate too, so they end the scan.
+    the depth is at most the column count, whatever m is.  Candidates
+    come in lex order of (s, i, j) and the top level is m, so a branch
+    ends once it cannot complete: the rem columns left cannot carry a
+    weight in [s*rem, m*rem]; a boundary count is unspent past its last
+    candidate (value 1 is the boundary, taken only at level 0, so tj[1]
+    once s > 0 and ti[1] once i > 1); or at s = m a row-2 count ti[2:i]
+    below i is unspent.  Each holds for every later candidate too.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -214,7 +214,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                 return
             for idx in range(start, len(candidates)):
                 s, i, j = candidates[idx]
-                if s * rem > wrem or (s > 0 and (ti[1] or tj[1])):
+                if (s * rem > wrem or (s > 0 and tj[1])
+                        or (i > 1 and ti[1]) or (s == m and any(ti[2:i]))):
                     return  # every later candidate fails the same cut
                 cap = min(ti[i], tj[j], rem)
                 if s > 0:

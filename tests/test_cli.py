@@ -423,6 +423,24 @@ class TestLongMargins:
         assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+    @pytest.mark.parametrize("argv, count", [
+        (["enum", "L", "--alpha", ",".join(["1"] * 200), "--beta", "200",
+          "--n", "200"], "1"),
+        (["enum", "A", "--alpha", ",".join(["1"] * 60), "--beta", "1",
+          "--n", "60", "--m", "0"], "60"),
+    ], ids=["enum-L", "enum-A"])
+    def test_dead_branches_end_the_scan(self, argv, count):
+        # one member to find among exponentially many dead branches: a
+        # walk that tried them all would not finish within the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "qstar.cli", *argv, "--count-only"],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, count + "\n", "")
+
+
 class TestInternalError:
     def test_any_fault_exits_4(self, capsys, monkeypatch):
         def broken(*args):

@@ -247,6 +247,15 @@ class TestLift:
                     g for g in full if g.weight() <= m
                 ]
 
+    def test_thousand_cells(self):
+        # one unit on each cell of a 1000 x 1000 diagonal: a walk that
+        # recursed once per cell would hit the recursion limit here
+        rows = [[0] * 1001 for _ in range(1001)]
+        for i in range(1, 1001):
+            rows[i][i] = 1
+        gamma = MarginMatrix(tuple(map(tuple, rows)))
+        assert lift(gamma, 0, lambda i, j: 0) == [from_margin(gamma)]
+
 
 class TestLevelSplits:
     """How lift spreads one cell's units over its levels."""
