@@ -4,12 +4,15 @@ A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels, held as
 its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
-(smash) lands back in the classical set L.  Both routes take L from
-tables.enumerate_L and differ only in how they place the levels:
-level_stacks (behind enumerate_Q and the enumerate route of the star
-product) takes a product of per-cell tables, and lift folds over the
-cells with the weight still left, so each checks the other's placement.
-L itself is checked by words.enumerate_A at m = 0, not by the other route.
+(smash) lands back in the classical set L.  Every walk here takes L
+from tables.enumerate_L and differs only in how it places the levels:
+level_stacks (behind enumerate_Q) takes a product of per-cell tables at
+weight exactly m, and lift (behind the lift route of the star product)
+folds over the cells with the weight still left.  The enumerate route
+of the star product calls neither level_stacks nor gamma_to_eterm: it
+assembles each term from per-cell pieces (expansion.product_terms), so
+lift checks its placement.  L itself is checked by words.enumerate_A at
+m = 0, not by the other route.
 """
 
 from __future__ import annotations
@@ -68,30 +71,27 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
         return MarginMatrix(tuple(map(tuple, rows)))
 
 
-def level_stacks(alpha, beta, n, caps, m=None):
-    """Every cubical matrix over L(alpha, beta, n) with levels up to caps.
+def level_stacks(alpha, beta, n, caps, m):
+    """Every cubical matrix of weight m over L(alpha, beta, n), capped by caps.
 
     For each gamma of enumerate_L, the cubical matrices that smash onto
     it are the Cartesian product, over its nonzero interior cells (i, j),
     of the multisets of gamma_ij levels from 0..caps(i, j), with the
     boundary at level 0.  Each (i, j, units) table of (weight, runs) is
-    built once per call, in combinations_with_replacement order; caps is
-    called with 1-based (i, j).  With m given, a piece heavier than m is
-    left out of its table, and a product whose piece weights do not sum
-    to m is dropped before a matrix is built.  Without m there is no
-    weight bound: with caps K_ij <= S a matrix weighs at most S times
-    its interior units, at most min(|alpha|, |beta|), which is M.
+    built once per call, in combinations_with_replacement order, and
+    leaves out the pieces heavier than m; caps is called with 1-based
+    (i, j).  A product whose piece weights do not sum to m is dropped
+    before a matrix is built.
     """
     a, b = len(alpha), len(beta)
 
     @cache
     def table(i: int, j: int, units: int) -> list:
-        top = caps(i, j)
-        most = top * units if m is None else m  # without m, keep every piece
         return [
             (w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
-            for combo in combinations_with_replacement(range(top + 1), units)
-            if (w := sum(combo)) <= most
+            for combo in combinations_with_replacement(
+                range(caps(i, j) + 1), units)
+            if (w := sum(combo)) <= m
         ]
 
     for gamma in enumerate_L(alpha, beta, n):
@@ -105,7 +105,7 @@ def level_stacks(alpha, beta, n, caps, m=None):
             if units
         ]
         for pick in product(*pieces):
-            if m is None or sum([w for w, _ in pick]) == m:
+            if sum([w for w, _ in pick]) == m:
                 yield CubicalMatrix(a, b, edge + [
                     run for _, runs in pick for run in runs
                 ])
@@ -132,7 +132,7 @@ def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
     levels from combinations_with_replacement over 0..min(m, caps(i, j),
     weight left) that fits what is left.  Every partial lift can be
     finished at level 0, so no partial is dropped.  It shares no code with
-    level_stacks, so each checks the other.
+    level_stacks or expansion.product_terms, so each checks the other.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -159,8 +159,9 @@ def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
     """Every lift of weight <= m of each matrix of L(alpha, beta, n).
 
     One enumerate_L call, which checks the margins; lift places the
-    levels.  L itself is not checked here, since level_stacks reads the
-    same enumerate_L: words.enumerate_A at m = 0 checks it.  In fold order.
+    levels.  L itself is not checked here, since expansion.product_terms
+    reads the same enumerate_L: words.enumerate_A at m = 0 checks it.  In
+    fold order.
     """
     return [g for gamma in enumerate_L(alpha, beta, n)
             for g in lift(gamma, m, caps)]

@@ -9,6 +9,9 @@ contributes nothing.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations_with_replacement, groupby, product
+from math import prod
 from typing import NamedTuple
 
 from .algebra import (
@@ -19,13 +22,8 @@ from .algebra import (
     build_B,
     render_monomial,
 )
-from .cubes import (
-    CubicalMatrix,
-    contributing_support,
-    level_stacks,
-    lift_all,
-    max_order,
-)
+from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
+from .tables import enumerate_L
 
 
 def canonical_slots(slots) -> tuple:
@@ -120,21 +118,82 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
     return ETerm(hbar, scalar, canonical_slots(slots), gamma)
 
 
+def product_terms(alpha, beta, n, btable: BTable):
+    """The terms of every capped cubical matrix over L, cell by cell.
+
+    For each gamma of enumerate_L, the matrices that smash onto it with
+    cell (i, j) on levels 0..K_ij are the Cartesian product, over its
+    nonzero interior cells, of the multisets of gamma_ij levels.  Each
+    (i, j, units) table is built once per call: per multiset, in
+    combinations_with_replacement order, its weight, its scalar (the
+    product of coeff ** v), its (degree, monomial, v) slot triples and its
+    runs.  The boundary's runs and triples are fixed per gamma, and its
+    coefficients are 1, so a term is a sum of weights, a product of
+    scalars and one sort of the joined triples, the order of
+    canonical_slots.
+    """
+    a, b = len(alpha), len(beta)
+    entries = btable.entries
+
+    def triple(k: int, i: int, j: int, v: int) -> tuple:
+        mono = entries[k, i, j].mono
+        return mono.degree(), mono, v
+
+    @cache
+    def table(i: int, j: int, units: int) -> list:
+        out = []
+        for combo in combinations_with_replacement(
+                range(btable.k_max(i, j) + 1), units):
+            runs = [(k, i, j, len(list(run))) for k, run in groupby(combo)]
+            scalar = prod([entries[k, i, j].coeff ** v for k, _, _, v in runs])
+            out.append((sum(combo), scalar, [triple(*r) for r in runs], runs))
+        return out
+
+    for gamma in enumerate_L(alpha, beta, n):
+        rows = gamma.rows
+        edge = [(0, i, 0, row[0])
+                for i, row in enumerate(rows[1:], start=1) if row[0]]
+        edge += [(0, 0, j, v)
+                 for j, v in enumerate(rows[0][1:], start=1) if v]
+        fixed = [triple(*r) for r in edge]
+        pieces = [
+            table(i, j, units)
+            for i, row in enumerate(rows[1:], start=1)
+            for j, units in enumerate(row[1:], start=1)
+            if units
+        ]
+        for pick in product(*pieces):
+            hbar = 0
+            scalar = 1
+            triples = fixed.copy()
+            runs = edge.copy()
+            for w, s, t, r in pick:
+                hbar += w
+                scalar *= s
+                triples += t
+                runs += r
+            triples.sort()
+            yield ETerm(hbar, scalar,
+                        tuple([(v, mono) for _, mono, v in triples]),
+                        CubicalMatrix(a, b, runs))
+
+
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
     """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
 
     Both paths take L from enumerate_L and cap cell (i, j) at K_ij, so
-    every matrix they build contributes; they differ only in placing the
-    levels.  The enumerate path takes the product of per-cell level tables
-    (cubes.level_stacks) with no weight bound: a level is at most K_ij <=
-    S and the interior holds at most min(|alpha|, |beta|) units, so no
-    matrix weighs more than M.  The lift path folds over the cells with
-    lift_all up to M instead.  So the paths check each other's level
-    placement, and words.enumerate_A at m = 0 checks L.  Each h
-    slice is sorted by (slots, scalar), which orders unequal terms
-    strictly, so the two paths give equal term lists exactly when they
-    give the same multiset of terms, whatever order they come in, and
-    render alike.
+    every matrix they build contributes; they differ in placing the
+    levels and in assembling the terms.  The enumerate path assembles
+    each term from per-cell pieces (product_terms) with no weight bound: a
+    level is at most K_ij <= S and the interior holds at most min(|alpha|,
+    |beta|) units, so no matrix weighs more than M.  The lift path folds
+    over the cells with lift_all up to M instead and assembles each
+    matrix's term with gamma_to_eterm.  So the paths check each other's
+    level placement and assembly, and words.enumerate_A at m = 0 checks
+    L.  Each h slice is sorted by (slots, scalar), which orders unequal
+    terms strictly, so the two paths give equal term lists exactly when
+    they give the same multiset of terms, whatever order they come in,
+    and render alike.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -148,12 +207,12 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     s_bound = contributing_support(p, q)
     m_bound = max_order(alpha, beta, n, s_bound)
     if path == "enumerate":
-        gammas = level_stacks(alpha, beta, n, btable.k_max)
+        terms = product_terms(alpha, beta, n, btable)
     else:
-        gammas = lift_all(alpha, beta, n, m_bound, btable.k_max)
+        terms = (gamma_to_eterm(gamma, btable) for gamma in
+                 lift_all(alpha, beta, n, m_bound, btable.k_max))
     by_order = {}
-    for gamma in gammas:
-        term = gamma_to_eterm(gamma, btable)
+    for term in terms:
         if term is not None:
             by_order.setdefault(term.hbar, []).append(term)
     for terms in by_order.values():

@@ -50,13 +50,14 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
 
     A walk over the interior margins: each step puts t >= 1 units in a
-    later interior cell, row-major, t at most both residual margins, so
-    the recursion is at most as deep as the interior units, min(|alpha|,
-    |beta|), however many cells there are.  A branch holding that many
-    units has spent every row or every column margin, so it stops there.
-    The cells from row i on take at most the row margins left in rows
-    i..a, so a scan ends once those cannot bring the units up to the
-    total <= n bound.  The residual margins form the boundary.
+    later interior cell, row-major, t at most both residual margins.  The
+    walk keeps its open nodes on an explicit stack of generators, one per
+    node, so no number of interior units or cells reaches the recursion
+    limit.  A branch holding min(|alpha|, |beta|) units has spent every
+    row or every column margin, so it stops there.  The cells from row i
+    on take at most the row margins left in rows i..a, so a scan ends
+    once those cannot bring the units up to the total <= n bound.  The
+    residual margins form the boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -72,25 +73,32 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
         rows[i][0] = v
     out = []
 
-    def walk(start: int, units: int):
+    def node(start: int, units: int):
+        """Record this node, then place each child in rows and yield it."""
         if units >= min_units:
             out.append(MarginMatrix(tuple(map(tuple, rows))))
             if units == full:
                 return
         for idx in range(start, len(cells)):
             i, j = cells[idx]
-            if units + sum(row[0] for row in rows[i:]) < min_units:
+            if units + sum([row[0] for row in rows[i:]]) < min_units:
                 return  # rows i..a cannot hold the units still needed
             for t in range(1, min(rows[i][0], rows[0][j]) + 1):
                 rows[i][0] -= t
                 rows[0][j] -= t
                 rows[i][j] = t
-                walk(idx + 1, units + t)
+                yield idx + 1, units + t
                 rows[i][0] += t
                 rows[0][j] += t
             rows[i][j] = 0
 
-    walk(0, 0)
+    stack = [node(0, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
     out.sort(key=lambda g: g.rows)
     return out
 

@@ -174,8 +174,10 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
 
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
-    type and weight budgets and calls neither tables.enumerate_L nor
-    cubes.level_stacks; at m = 0 it checks enumerate_L.
+    type and weight budgets and calls neither tables.enumerate_L nor a
+    walk over it (cubes.level_stacks, cubes.lift, or the enumerate route's
+    per-cell pieces in expansion.product_terms); at m = 0 it checks
+    enumerate_L.
     Each recursion takes at least one column of a later candidate, so
     the depth is at most the column count, whatever m is.  Candidates
     come in lex order of (s, i, j) and the top level is m, so a branch

@@ -404,6 +404,18 @@ class TestLongMargins:
         term = f"e_({','.join(['1'] * 1000)})({'x,' * 999}xy)"
         assert (code, out, err) == (0, " + ".join([term] * 1000) + "\n", "")
 
+    def test_one_unit_in_each_of_a_thousand_cells(self, capsys):
+        # one matrix with 1,000 interior units: a walk that recursed once
+        # per unit would hit the recursion limit here
+        spec = ["--alpha", ",".join(["1"] * 1000), "--beta", "1000",
+                "--n", "1000"]
+        code, out, err = run(capsys, "enum", "L", *spec, "--count-only")
+        assert (code, out, err) == (0, "1\n", "")
+        code, out, err = run(capsys, "star", *spec,
+                             "--p", ",".join(["x"] * 1000), "--q", "y")
+        term = f"e_({','.join(['1'] * 1000)})({','.join(['xy'] * 1000)})"
+        assert (code, out, err) == (0, term + "\n", "")
+
     @pytest.mark.parametrize("argv", [
         ["star", "--p", ",".join(["x"] * 1000), "--q", "y"],
         ["enum", "L"],

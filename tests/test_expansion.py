@@ -5,7 +5,8 @@ from itertools import chain
 import pytest
 
 import qstar.cubes
-from conftest import WORKED, oracle_grid, wide_margin_grid
+import qstar.expansion
+from conftest import WORKED, oracle_grid, three_entry_grid, wide_margin_grid
 from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
 from qstar.cli import _unlimited_int_digits, main
 from qstar.cubes import CubicalMatrix, enumerate_Q
@@ -180,6 +181,42 @@ class TestStarProduct:
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         assert out.count(" + ") == K
+
+    def test_enumerate_path_enumerates_L_once(self, monkeypatch):
+        # the terms come from per-cell pieces, not from matrices that
+        # cubes.level_stacks places and gamma_to_eterm reads
+        calls = []
+        original = qstar.expansion.enumerate_L
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the enumerate path placed matrices")
+
+        monkeypatch.setattr(qstar.expansion, "enumerate_L", counted)
+        monkeypatch.setattr(qstar.expansion, "gamma_to_eterm", refused)
+        monkeypatch.setattr(qstar.cubes, "level_stacks", refused)
+        exp = star_product(*WORKED)
+        assert calls == [((1, 1), (2, 1), 4)]
+        monkeypatch.undo()
+        assert list(exp.terms()) == list(
+            star_product(*WORKED, path="lift").terms())
+
+    def test_enumerate_terms_match_their_origins(self):
+        # each enumerate-route term, assembled from per-cell pieces, is
+        # the term that gamma_to_eterm reads off its origin, at its weight
+        K = 1000
+        deep = ((1,), (1,), (Monomial2(0, K),), (Monomial2(K, 0),), 1)
+        for spec in chain(oracle_grid(), wide_margin_grid(),
+                          three_entry_grid(), [deep]):
+            btable = build_B(spec[2], spec[3])
+            for term in star_product(*spec).terms():
+                again = gamma_to_eterm(term.origin, btable)
+                assert (term.hbar, term.scalar, term.slots) == (
+                    again.hbar, again.scalar, again.slots), spec
+                assert term.origin.weight() == term.hbar, spec
 
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED

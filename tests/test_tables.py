@@ -10,9 +10,9 @@ from conftest import (
     total,
 )
 
-from qstar.algebra import Monomial2
+from qstar.algebra import Monomial2, build_B
 from qstar.cubes import CubicalMatrix, level_stacks
-from qstar.expansion import ETerm
+from qstar.expansion import ETerm, star_product
 from qstar.oracle import expand_elementary, expand_terms
 from qstar.tables import MarginMatrix, classical_product, enumerate_L
 
@@ -177,8 +177,9 @@ def reference_level_stacks(alpha, beta, n, caps, budget, exact=False):
 def reference_stacks(alpha, beta, n, caps, m=None):
     """The reference's matrices, sorted, for the arguments of level_stacks.
 
-    Without m the reference runs at a budget that cannot bind, the top cap
-    times the most interior units; with m, at exactly m.
+    Without m, as for the enumerate route, the reference runs at a budget
+    that cannot bind, the top cap times the most interior units; with m,
+    at exactly m.
     """
     a, b = len(alpha), len(beta)
     if m is None:
@@ -191,16 +192,39 @@ def reference_stacks(alpha, beta, n, caps, m=None):
     return sorted(CubicalMatrix(a, b, r) for r in runs)
 
 
+def cap_monomials(a, b):
+    """(p, q) with every K_ij = min(p_i.y, q_j.x) at 0..3, then unequal."""
+    for c in range(4):
+        yield (Monomial2(0, c),) * a, (Monomial2(c, 0),) * b
+    yield (tuple(Monomial2(i % 2, 3 * i % 4) for i in range(1, a + 1)),
+           tuple(Monomial2((j + 1) % 4, j % 2) for j in range(1, b + 1)))
+
+
+def route_stacks(alpha, beta, p, q, n):
+    """The term origins of the enumerate route of the star product, sorted."""
+    return sorted(t.origin for t in star_product(alpha, beta, p, q, n).terms())
+
+
 class TestLevelStacks:
-    # the walk order differs from the reference's, so multisets are compared
+    # the walk order differs from the reference's, so multisets are
+    # compared.  Not exact: the enumerate route's term origins, every
+    # stack with levels up to K_ij and no weight bound; exact: level_stacks
+    # at weight exactly m, as enumerate_Q calls it.
     @pytest.mark.parametrize("exact", [False, True])
     def test_matches_reference_walk(self, exact):
         specs = sorted({(a, b, n) for a, b, n, _ in combinatorial_grid()})
         cap_rules = [lambda i, j, c=c: c for c in range(4)]
         cap_rules.append(lambda i, j: (i + 2 * j) % 4)  # unequal caps
         for alpha, beta, n in specs:
+            if not exact:
+                for p, q in cap_monomials(len(alpha), len(beta)):
+                    caps = build_B(p, q).k_max
+                    assert route_stacks(alpha, beta, p, q, n) == (
+                        reference_stacks(alpha, beta, n, caps)
+                    ), (alpha, beta, p, q, n)
+                continue
             for caps in cap_rules:
-                for m in range(7) if exact else [None]:
+                for m in range(7):
                     args = (alpha, beta, n, caps, m)
                     assert sorted(level_stacks(*args)) == reference_stacks(
                         *args
@@ -217,6 +241,10 @@ class TestLevelStacks:
     ):
         args = ((units,), (units,), units + 1, lambda i, j: top,
                 top if exact else None)
-        got = sorted(level_stacks(*args))
+        if exact:
+            got = sorted(level_stacks(*args))
+        else:  # y^top * x^top: one cell with K = top
+            got = route_stacks(*args[:2], (Monomial2(0, top),),
+                               (Monomial2(top, 0),), args[2])
         assert got == reference_stacks(*args)
         assert len(got) == (exact_count if exact else count)
