@@ -4,21 +4,19 @@ A cubical matrix Gamma is a finite stack of (a+1) x (b+1) levels, held as
 its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
-(smash) lands back in the classical set L.  Every walk here takes L
-from tables.enumerate_L and differs only in how it places the levels:
-level_stacks (behind enumerate_Q) takes a product of per-cell tables at
-weight exactly m, and lift (behind the lift route of the star product)
-folds over the cells with the weight still left.  The enumerate route
-of the star product calls neither level_stacks nor gamma_to_eterm: it
+(smash) lands back in the classical set L.  Levels are placed once
+here: lift folds over a matrix's cells with the weight still left, for
+the lift route of the star product, and enumerate_Q keeps the fold's
+lifts of weight exactly m.  The enumerate route of the star product
 assembles each term from per-cell pieces (expansion.product_terms), so
-lift checks its placement.  L itself is checked by words.enumerate_A at
-m = 0, not by the other route.
+it and lift check each other; words.enumerate_A checks Q(m), and at
+m = 0 the L that every walk takes from tables.enumerate_L.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
@@ -71,54 +69,53 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
         return MarginMatrix(tuple(map(tuple, rows)))
 
 
-def level_stacks(alpha, beta, n, caps, m):
-    """Every cubical matrix of weight m over L(alpha, beta, n), capped by caps.
+def _fold(gammas, m: int, caps):
+    """(gamma, runs, weight left) for each lift of weight <= m of each gamma.
 
-    For each gamma of enumerate_L, the cubical matrices that smash onto
-    it are the Cartesian product, over its nonzero interior cells (i, j),
-    of the multisets of gamma_ij levels from 0..caps(i, j), with the
-    boundary at level 0.  Each (i, j, units) table of (weight, runs) is
-    built once per call, in combinations_with_replacement order, and
-    leaves out the pieces heavier than m; caps is called with 1-based
-    (i, j).  A product whose piece weights do not sum to m is dropped
-    before a matrix is built.
+    A fold over gamma's nonzero interior cells (i, j), 1-based, row-major,
+    from the boundary at level 0 with weight m left.  Each partial takes,
+    in order, every piece that fits its weight left (later units fit at
+    level 0, so none is dropped): one (weight, runs) per multiset of the
+    cell's levels in combinations_with_replacement over 0..min(m, caps(i,
+    j)), built once per (i, j, units) and call.
     """
-    a, b = len(alpha), len(beta)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
 
     @cache
-    def table(i: int, j: int, units: int) -> list:
-        return [
-            (w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
-            for combo in combinations_with_replacement(
-                range(caps(i, j) + 1), units)
-            if (w := sum(combo)) <= m
-        ]
+    def pieces(i: int, j: int, units: int) -> list:
+        return [(w, [(k, i, j, len(list(run))) for k, run in groupby(combo)])
+                for combo in combinations_with_replacement(
+                    range(min(m, caps(i, j)) + 1), units)
+                if (w := sum(combo)) <= m]
 
-    for gamma in enumerate_L(alpha, beta, n):
+    for gamma in gammas:
         rows = gamma.rows
         edge = [(0, i, 0, row[0]) for i, row in enumerate(rows[1:], start=1)]
         edge += [(0, 0, j, v) for j, v in enumerate(rows[0][1:], start=1)]
-        pieces = [
-            table(i, j, units)
-            for i, row in enumerate(rows[1:], start=1)
-            for j, units in enumerate(row[1:], start=1)
-            if units
-        ]
-        for pick in product(*pieces):
-            if sum([w for w, _ in pick]) == m:
-                yield CubicalMatrix(a, b, edge + [
-                    run for _, runs in pick for run in runs
-                ])
+        partial = [(edge, m)]
+        for i, row in enumerate(rows[1:], start=1):
+            for j, units in enumerate(row[1:], start=1):
+                if units:
+                    partial = [(runs + piece, wleft - w)
+                               for runs, wleft in partial
+                               for w, piece in pieces(i, j, units)
+                               if w <= wleft]
+        yield from ((gamma, runs, wleft) for runs, wleft in partial)
 
 
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """All cubical matrices in Q(alpha, beta, n, m), in to_vector order.
 
-    The level stacks with every cap at m and weight exactly m.
+    The exact-weight slice of lift's fold over enumerate_L, every cap at
+    m: the lifts with no weight left.  Checked by words.enumerate_A, which
+    shares no code with the fold, and by the tests' reference walk.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = list(level_stacks(alpha, beta, n, lambda i, j: m, m))
+    out = [CubicalMatrix(gamma.a, gamma.b, runs) for gamma, runs, wleft
+           in _fold(enumerate_L(alpha, beta, n), m, lambda i, j: m)
+           if not wleft]
     out.sort(key=lambda g: to_vector(g, levels=m + 1))
     return out
 
@@ -126,45 +123,23 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
 def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
     """Every cubical matrix of weight <= m whose smash is gamma, in fold order.
 
-    A fold over gamma's nonzero interior cells (i, j), 1-based and
-    row-major, from the boundary at level 0 with weight m left.  Each cell
-    extends every partial lift, in order, by each multiset of its units'
-    levels from combinations_with_replacement over 0..min(m, caps(i, j),
-    weight left) that fits what is left.  Every partial lift can be
-    finished at level 0, so no partial is dropped.  It shares no code with
-    level_stacks or expansion.product_terms, so each checks the other.
+    The lifts _fold places; caps takes 1-based (i, j).  enumerate_Q is
+    the fold's exact-weight slice; expansion.product_terms shares no code
+    with it, so each checks the other.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    edge = [(0, i, 0, gamma[i, 0]) for i in range(1, gamma.a + 1)]
-    edge += [(0, 0, j, gamma[0, j]) for j in range(1, gamma.b + 1)]
-    partial = [(edge, m)]
-    for i in range(1, gamma.a + 1):
-        for j in range(1, gamma.b + 1):
-            if not (units := gamma[i, j]):
-                continue
-            top = min(m, caps(i, j))
-            partial = [
-                (runs + [(k, i, j, len(list(run)))
-                         for k, run in groupby(combo)], wleft - w)
-                for runs, wleft in partial
-                for combo in combinations_with_replacement(
-                    range(min(top, wleft) + 1), units)
-                if (w := sum(combo)) <= wleft
-            ]
-    return [CubicalMatrix(gamma.a, gamma.b, runs) for runs, _ in partial]
+    return [CubicalMatrix(gamma.a, gamma.b, runs)
+            for _, runs, _ in _fold([gamma], m, caps)]
 
 
 def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
     """Every lift of weight <= m of each matrix of L(alpha, beta, n).
 
-    One enumerate_L call, which checks the margins; lift places the
-    levels.  L itself is not checked here, since expansion.product_terms
-    reads the same enumerate_L: words.enumerate_A at m = 0 checks it.  In
-    fold order.
+    One enumerate_L call, which checks the margins, and one fold.  L is
+    checked by words.enumerate_A at m = 0, not here: expansion.product_terms
+    reads the same enumerate_L.  In fold order.
     """
-    return [g for gamma in enumerate_L(alpha, beta, n)
-            for g in lift(gamma, m, caps)]
+    return [CubicalMatrix(gamma.a, gamma.b, runs)
+            for gamma, runs, _ in _fold(enumerate_L(alpha, beta, n), m, caps)]
 
 
 def max_support(p, q) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import prod
+from operator import attrgetter
 from typing import NamedTuple
 
 from .algebra import (
@@ -216,7 +217,7 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
         if term is not None:
             by_order.setdefault(term.hbar, []).append(term)
     for terms in by_order.values():
-        terms.sort(key=lambda t: (t.slots, t.scalar))
+        terms.sort(key=attrgetter("slots", "scalar"))
     return StarExpansion(
         alpha, beta, p, q, n, s_bound, m_bound, by_order
     )

@@ -46,18 +46,28 @@ def _check_margins(alpha, beta, n):
         raise ValueError("multi-index entries must be nonnegative")
 
 
+def depth_first(root) -> None:
+    """Run a walk whose generator nodes yield their children, depth first
+    on an explicit stack, so no depth reaches the recursion limit."""
+    stack = [root]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
 def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     """All matrices of L(alpha, beta, n), lexicographic on row-major entries.
 
-    A walk over the interior margins: each step puts t >= 1 units in a
-    later interior cell, row-major, t at most both residual margins.  The
-    walk keeps its open nodes on an explicit stack of generators, one per
-    node, so no number of interior units or cells reaches the recursion
-    limit.  A branch holding min(|alpha|, |beta|) units has spent every
-    row or every column margin, so it stops there.  The cells from row i
-    on take at most the row margins left in rows i..a, so a scan ends
-    once those cannot bring the units up to the total <= n bound.  The
-    residual margins form the boundary.
+    A walk over the interior margins, run by depth_first: each step puts
+    t >= 1 units in a later interior cell, row-major, t at most both
+    residual margins.  A branch holding min(|alpha|, |beta|) units has
+    spent every row or every column margin, so it stops there.  The cells
+    from row i on take at most the row margins left in rows i..a, so a
+    scan ends once those cannot bring the units up to the total <= n
+    bound.  The residual margins form the boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -87,18 +97,12 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
                 rows[i][0] -= t
                 rows[0][j] -= t
                 rows[i][j] = t
-                yield idx + 1, units + t
+                yield node(idx + 1, units + t)
                 rows[i][0] += t
                 rows[0][j] += t
             rows[i][j] = 0
 
-    stack = [node(0, 0)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(node(*child))
+    depth_first(node(0, 0))
     out.sort(key=lambda g: g.rows)
     return out
 

@@ -12,7 +12,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .cubes import CubicalMatrix
-from .tables import _check_margins, weight
+from .tables import _check_margins, depth_first, weight
 
 
 class ThreeWord(NamedTuple):
@@ -175,17 +175,17 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
     type and weight budgets and calls neither tables.enumerate_L nor a
-    walk over it (cubes.level_stacks, cubes.lift, or the enumerate route's
-    per-cell pieces in expansion.product_terms); at m = 0 it checks
-    enumerate_L.
-    Each recursion takes at least one column of a later candidate, so
-    the depth is at most the column count, whatever m is.  Candidates
-    come in lex order of (s, i, j) and the top level is m, so a branch
-    ends once it cannot complete: the rem columns left cannot carry a
-    weight in [s*rem, m*rem]; a boundary count is unspent past its last
-    candidate (value 1 is the boundary, taken only at level 0, so tj[1]
-    once s > 0 and ti[1] once i > 1); or at s = m a row-2 count ti[2:i]
-    below i is unspent.  Each holds for every later candidate too.
+    walk over it (the fold behind cubes.lift and cubes.enumerate_Q, or
+    the enumerate route's per-cell pieces in expansion.product_terms);
+    it checks Q(m), and at m = 0 enumerate_L.  The walk runs under
+    tables.depth_first, so neither the column count nor m reaches the
+    recursion limit.  Candidates come in lex order of (s, i, j) and the
+    top level is m, so a branch ends once it cannot complete: the rem
+    columns left cannot carry a weight in [s*rem, m*rem]; a boundary
+    count is unspent past its last candidate (value 1 is the boundary,
+    taken only at level 0, so tj[1] once s > 0 and ti[1] once i > 1);
+    or at s = m a row-2 count ti[2:i] below i is unspent.  Each holds
+    for every later candidate too.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -206,8 +206,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         tj = [0, n_cols - weight(beta)] + list(beta)
         cols = []
 
-        def rec(start: int, wrem: int, rem: int):
-            """Take c >= 1 columns of a candidate from start onwards."""
+        def node(start: int, wrem: int, rem: int):
+            """Record a full word, or place each child's columns, yield it."""
             if rem == 0:
                 if wrem == 0:
                     out.append(ThreeWord(tuple(cols)))
@@ -226,11 +226,11 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                     ti[i] -= c
                     tj[j] -= c
                     cols.extend([(s, i, j)] * c)
-                    rec(idx + 1, wrem - s * c, rem - c)
+                    yield node(idx + 1, wrem - s * c, rem - c)
                     del cols[len(cols) - c:]
                     ti[i] += c
                     tj[j] += c
 
-        rec(0, m, n_cols)
+        depth_first(node(0, m, n_cols))
     out.sort()
     return out

@@ -299,7 +299,7 @@ def test_criterion_4_combinatorial_propositions():
 
 def test_criterion_5_three_word_bijection():
     points = 0
-    for alpha, beta, n, m in combinatorial_grid(max_n=3, max_m=2):
+    for alpha, beta, n, m in combinatorial_grid():
         shape = (len(alpha), len(beta))
         q_set = enumerate_Q(alpha, beta, n, m)
         words_set = enumerate_A(alpha, beta, n, m)

@@ -146,8 +146,7 @@ class TestStarProduct:
                 assert render(a, fmt) == render(b, fmt), (spec, fmt)
 
     def test_lift_path_enumerates_L_once(self, monkeypatch):
-        # one lift_all call up to M, where each m used to enumerate L anew;
-        # the levels are placed without cubes.level_stacks
+        # one lift_all call up to M, where each m used to enumerate L anew
         calls = []
         original = qstar.cubes.enumerate_L
 
@@ -155,11 +154,7 @@ class TestStarProduct:
             calls.append(args)
             return original(*args)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the lift path called level_stacks")
-
         monkeypatch.setattr(qstar.cubes, "enumerate_L", counted)
-        monkeypatch.setattr(qstar.cubes, "level_stacks", refused)
         exp = star_product(*WORKED, path="lift")
         assert exp.m_bound == 2
         assert calls == [((1, 1), (2, 1), 4)]
@@ -184,7 +179,7 @@ class TestStarProduct:
 
     def test_enumerate_path_enumerates_L_once(self, monkeypatch):
         # the terms come from per-cell pieces, not from matrices that
-        # cubes.level_stacks places and gamma_to_eterm reads
+        # gamma_to_eterm reads
         calls = []
         original = qstar.expansion.enumerate_L
 
@@ -197,7 +192,6 @@ class TestStarProduct:
 
         monkeypatch.setattr(qstar.expansion, "enumerate_L", counted)
         monkeypatch.setattr(qstar.expansion, "gamma_to_eterm", refused)
-        monkeypatch.setattr(qstar.cubes, "level_stacks", refused)
         exp = star_product(*WORKED)
         assert calls == [((1, 1), (2, 1), 4)]
         monkeypatch.undo()

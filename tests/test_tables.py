@@ -5,13 +5,14 @@ import pytest
 from conftest import (
     col_margin,
     combinatorial_grid,
+    exact_lifts,
     interior_support_count,
     row_margin,
     total,
 )
 
 from qstar.algebra import Monomial2, build_B
-from qstar.cubes import CubicalMatrix, level_stacks
+from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.expansion import ETerm, star_product
 from qstar.oracle import expand_elementary, expand_terms
 from qstar.tables import MarginMatrix, classical_product, enumerate_L
@@ -175,7 +176,7 @@ def reference_level_stacks(alpha, beta, n, caps, budget, exact=False):
 
 
 def reference_stacks(alpha, beta, n, caps, m=None):
-    """The reference's matrices, sorted, for the arguments of level_stacks.
+    """The reference's matrices, sorted, at weight at most or exactly m.
 
     Without m, as for the enumerate route, the reference runs at a budget
     that cannot bind, the top cap times the most interior units; with m,
@@ -208,8 +209,8 @@ def route_stacks(alpha, beta, p, q, n):
 class TestLevelStacks:
     # the walk order differs from the reference's, so multisets are
     # compared.  Not exact: the enumerate route's term origins, every
-    # stack with levels up to K_ij and no weight bound; exact: level_stacks
-    # at weight exactly m, as enumerate_Q calls it.
+    # stack with levels up to K_ij and no weight bound; exact: the lifts
+    # of weight exactly m, the slice of the fold that enumerate_Q keeps.
     @pytest.mark.parametrize("exact", [False, True])
     def test_matches_reference_walk(self, exact):
         specs = sorted({(a, b, n) for a, b, n, _ in combinatorial_grid()})
@@ -226,8 +227,8 @@ class TestLevelStacks:
             for caps in cap_rules:
                 for m in range(7):
                     args = (alpha, beta, n, caps, m)
-                    assert sorted(level_stacks(*args)) == reference_stacks(
-                        *args
+                    assert exact_lifts(alpha, beta, n, m, caps) == (
+                        reference_stacks(*args)
                     ), args
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -241,8 +242,8 @@ class TestLevelStacks:
     ):
         args = ((units,), (units,), units + 1, lambda i, j: top,
                 top if exact else None)
-        if exact:
-            got = sorted(level_stacks(*args))
+        if exact:  # every cap is top = m
+            got = sorted(enumerate_Q(*args[:3], top))
         else:  # y^top * x^top: one cell with K = top
             got = route_stacks(*args[:2], (Monomial2(0, top),),
                                (Monomial2(top, 0),), args[2])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -8,6 +13,7 @@ from conftest import (
     row_margin,
     size,
 )
+import qstar
 from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.tables import MarginMatrix, weight
 from qstar.words import (
@@ -224,13 +230,27 @@ class TestEnumerateA:
             }
 
     def test_depth_does_not_grow_with_m(self):
-        # one column, so one recursion, however many levels lie below it
+        # one column, so one node, however many levels lie below it
         assert enumerate_A((1,), (1,), 1, 100000) == [
             ThreeWord(((100000, 2, 2),))
         ]
         assert len(enumerate_A((1,), (1,), 2, 3000)) == len(
             enumerate_Q((1,), (1,), 2, 3000)
         )
+
+    def test_long_margins_under_a_low_recursion_limit(self):
+        # 200 rows of one unit each, so each word uses 200 distinct
+        # columns: a walk that recursed once per column would pass the
+        # limit of 120 here
+        code = ("import sys; sys.setrecursionlimit(120); "
+                "from qstar.words import enumerate_A; "
+                "print(len(enumerate_A((1,) * 200, (1,), 200, 0)))")
+        src = Path(qstar.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "200\n", "")
 
     def test_grid_bijection(self):
         for alpha, beta, n, m in combinatorial_grid(max_n=3, max_m=2):
