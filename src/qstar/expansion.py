@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .algebra import (
@@ -41,16 +41,30 @@ class ETerm(_ReadOnly):
     """scalar * e_(multiplicities)(monomials) * h^hbar.
 
     slots holds ordered (multiplicity, Monomial2) pairs; origin, the matrix
-    the term came from, is left out of equality, hash and repr.
+    the term came from, is left out of equality, hash and repr.  Pass the
+    matrix, or, as product_terms does, the shared (a, b, boundary runs) and
+    the picked pieces, whose last fields are their runs: origin then builds
+    the matrix on its first read and keeps it.
     """
 
-    __slots__ = ("hbar", "scalar", "slots", "origin")
+    __slots__ = ("hbar", "scalar", "slots", "_origin", "_pick")
 
-    def __init__(self, hbar: int, scalar: int, slots: tuple, origin=None):
+    def __init__(self, hbar: int, scalar: int, slots: tuple, origin=None,
+                 pick=None):
         object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "_pick", pick)
+
+    @property
+    def origin(self):
+        if self._pick is not None:
+            a, b, edge = self._origin
+            runs = edge + [run for piece in self._pick for run in piece[-1]]
+            object.__setattr__(self, "_origin", CubicalMatrix(a, b, runs))
+            object.__setattr__(self, "_pick", None)
+        return self._origin
 
     def _key(self) -> tuple:
         return self.hbar, self.scalar, self.slots
@@ -127,18 +141,21 @@ def product_terms(alpha, beta, n, btable: BTable):
     nonzero interior cells, of the multisets of gamma_ij levels.  Each
     (i, j, units) table is built once per call: per multiset, in
     combinations_with_replacement order, its weight, its scalar (the
-    product of coeff ** v), its (degree, monomial, v) slot triples and its
-    runs.  The boundary's runs and triples are fixed per gamma, and its
-    coefficients are 1, so a term is a sum of weights, a product of
-    scalars and one sort of the joined triples, the order of
-    canonical_slots.
+    product of coeff ** v), its (degree, monomial, v, (v, monomial)) slot
+    triples and its runs.  The boundary's runs and triples are fixed per
+    gamma, and its coefficients are 1, so a term is a sum of weights, a
+    product of scalars and one sort of the joined triples, the order of
+    canonical_slots, whose last fields are its slots.  A term's origin is
+    built from the boundary runs and its picked pieces on first read.
     """
     a, b = len(alpha), len(beta)
     entries = btable.entries
+    last = itemgetter(-1)
 
+    @cache
     def triple(k: int, i: int, j: int, v: int) -> tuple:
         mono = entries[k, i, j].mono
-        return mono.degree(), mono, v
+        return mono.degree(), mono, v, (v, mono)
 
     @cache
     def table(i: int, j: int, units: int) -> list:
@@ -157,6 +174,7 @@ def product_terms(alpha, beta, n, btable: BTable):
         edge += [(0, 0, j, v)
                  for j, v in enumerate(rows[0][1:], start=1) if v]
         fixed = [triple(*r) for r in edge]
+        base = a, b, edge
         pieces = [
             table(i, j, units)
             for i, row in enumerate(rows[1:], start=1)
@@ -167,16 +185,12 @@ def product_terms(alpha, beta, n, btable: BTable):
             hbar = 0
             scalar = 1
             triples = fixed.copy()
-            runs = edge.copy()
-            for w, s, t, r in pick:
+            for w, s, t, _ in pick:
                 hbar += w
                 scalar *= s
                 triples += t
-                runs += r
             triples.sort()
-            yield ETerm(hbar, scalar,
-                        tuple([(v, mono) for _, mono, v in triples]),
-                        CubicalMatrix(a, b, runs))
+            yield ETerm(hbar, scalar, tuple(map(last, triples)), base, pick)
 
 
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
@@ -227,18 +241,17 @@ def _monomial_text(mono: Monomial2) -> str:
     return render_monomial(ScaledMonomial(1, mono))
 
 
+def _text_slot(slot: tuple) -> tuple:
+    return str(slot[0]), _monomial_text(slot[1])
+
+
 def _render_text(expansion: StarExpansion) -> str:
-    texts = {}  # each distinct argument rendered once
+    text = cache(_text_slot)  # each distinct slot written once per call
     out = []
     for t in expansion.terms():
-        mults = ",".join(str(mult) for mult, _ in t.slots)
-        args = []
-        for _, mono in t.slots:
-            text = texts.get(mono)
-            if text is None:
-                text = texts[mono] = _monomial_text(mono)
-            args.append(text)
-        body = f"e_({mults})({','.join(args)})"
+        texts = list(map(text, t.slots))
+        body = (f"e_({','.join([mult for mult, _ in texts])})"
+                f"({','.join([arg for _, arg in texts])})")
         if t.scalar != 1:
             body = f"{t.scalar} {body}"
         if t.hbar == 1:
@@ -256,16 +269,12 @@ def _json_list(items: list, indent: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{indent}]"
 
 
-def _json_term(t: ETerm) -> str:
-    slots = [
+def _json_slot(slot: tuple) -> str:
+    mult, mono = slot
+    return (
         f'        {{\n          "mult": {mult},\n          "monomial": {{\n'
         f'            "x": {mono.x},\n            "y": {mono.y}\n'
         f'          }}\n        }}'
-        for mult, mono in t.slots
-    ]
-    return (
-        f'    {{\n      "m": {t.hbar},\n      "scalar": {t.scalar},\n'
-        f'      "slots": {_json_list(slots, "      ")}\n    }}'
     )
 
 
@@ -281,7 +290,12 @@ def _render_json(expansion: StarExpansion) -> str:
         },
         "bounds": {"S": expansion.s_bound, "M": expansion.m_bound},
     }, indent=2)
-    terms = [_json_term(t) for t in expansion.terms()]
+    slot = cache(_json_slot)  # each distinct slot written once per call
+    terms = [
+        f'    {{\n      "m": {t.hbar},\n      "scalar": {t.scalar},\n'
+        f'      "slots": {_json_list([*map(slot, t.slots)], "      ")}\n    }}'
+        for t in expansion.terms()
+    ]
     # head ends with the closing brace of "bounds" and then of the document
     return head[:-2] + ',\n  "terms": ' + _json_list(terms, "  ") + "\n}"
 
@@ -294,7 +308,8 @@ def render(expansion: StarExpansion, fmt: str = "text") -> str:
     through json; the terms are written directly at the same indentation,
     and tests/test_expansion.py holds the two byte-identical.  JSON
     "bounds.S" is the sharp contributing_support the expansion was
-    truncated at, not the paper's length-based max_support.
+    truncated at, not the paper's length-based max_support.  No origin is
+    read, and each distinct slot is written once per call.
     """
     if fmt == "text":
         return _render_text(expansion)

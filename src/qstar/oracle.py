@@ -415,6 +415,7 @@ def verify(alpha, beta, p, q, n) -> VerifyReport:
     exp_enum = star_product(alpha, beta, p, q, n, path="enumerate")
     exp_lift = star_product(alpha, beta, p, q, n, path="lift")
     paths_ok = list(exp_enum.terms()) == list(exp_lift.terms())
+    del exp_lift  # read by nothing below, so its terms are freed here
     if not paths_ok:
         details.append("enumerate and lift paths produced different terms")
 

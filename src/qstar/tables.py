@@ -91,7 +91,8 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
                 return
         for idx in range(start, len(cells)):
             i, j = cells[idx]
-            if units + sum([row[0] for row in rows[i:]]) < min_units:
+            if (units < min_units
+                    and units + sum([row[0] for row in rows[i:]]) < min_units):
                 return  # rows i..a cannot hold the units still needed
             for t in range(1, min(rows[i][0], rows[0][j]) + 1):
                 rows[i][0] -= t

@@ -184,8 +184,9 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     columns left cannot carry a weight in [s*rem, m*rem]; a boundary
     count is unspent past its last candidate (value 1 is the boundary,
     taken only at level 0, so tj[1] once s > 0 and ti[1] once i > 1);
-    or at s = m a row-2 count ti[2:i] below i is unspent.  Each holds
-    for every later candidate too.
+    or at s = m a row-2 value below i is unspent: the least unspent value
+    >= 2 is carried down the walk, so that cut reads one number.  Each
+    holds for every later candidate too.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -202,12 +203,14 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     ]
     out = []
     for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
-        ti = [0, n_cols - weight(alpha)] + list(alpha)  # ti[v]: row-2 value v
+        ti = [0, n_cols - weight(alpha), *alpha, 1]  # ti[v]: row-2 value v
         tj = [0, n_cols - weight(beta)] + list(beta)
         cols = []
 
-        def node(start: int, wrem: int, rem: int):
+        def node(start: int, wrem: int, rem: int, low: int):
             """Record a full word, or place each child's columns, yield it."""
+            while not ti[low]:  # stops at the 1 appended at index a + 2
+                low += 1  # now the least row-2 value >= 2 left unspent
             if rem == 0:
                 if wrem == 0:
                     out.append(ThreeWord(tuple(cols)))
@@ -217,7 +220,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
             for idx in range(start, len(candidates)):
                 s, i, j = candidates[idx]
                 if (s * rem > wrem or (s > 0 and tj[1])
-                        or (i > 1 and ti[1]) or (s == m and any(ti[2:i]))):
+                        or (i > 1 and ti[1]) or (s == m and low < i)):
                     return  # every later candidate fails the same cut
                 cap = min(ti[i], tj[j], rem)
                 if s > 0:
@@ -226,11 +229,11 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                     ti[i] -= c
                     tj[j] -= c
                     cols.extend([(s, i, j)] * c)
-                    yield node(idx + 1, wrem - s * c, rem - c)
+                    yield node(idx + 1, wrem - s * c, rem - c, low)
                     del cols[len(cols) - c:]
                     ti[i] += c
                     tj[j] += c
 
-        depth_first(node(0, m, n_cols))
+        depth_first(node(0, m, n_cols, 2))
     out.sort()
     return out

@@ -397,6 +397,13 @@ class TestLongMargins:
         code, out, err = run(capsys, "enum", "L", *self.SPEC, "--count-only")
         assert (code, out, err) == (0, "1000\n", "")
 
+    def test_enum_a(self, capsys):
+        # half the length: the word walk writes every column of every word
+        spec = ["--alpha", ",".join(["1"] * 500), "--beta", "1", "--n", "500"]
+        code, out, err = run(capsys, "enum", "A", *spec, "--m", "0",
+                             "--count-only")
+        assert (code, out, err) == (0, "500\n", "")
+
     def test_star(self, capsys):
         code, out, err = run(capsys, "star", *self.SPEC,
                              "--p", ",".join(["x"] * 1000), "--q", "y")

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import chain
+from math import prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from qstar.expansion import (
     render,
     star_product,
 )
+from qstar.oracle import term_orbits
 from qstar.tables import classical_product
 
 X = Monomial2(1, 0)
@@ -242,6 +244,149 @@ class TestStarProduct:
             star_product((3,), (1,), (X,), (Y,), 2)
 
 
+class TestOrigin:
+    """The enumerate route builds each term's origin on its first read."""
+
+    STAR = ["star", "--alpha", "2,2", "--beta", "2,1", "--p", "x^2y,x^3y",
+            "--q", "x^3,x^2y^2", "--n", "5"]
+
+    def test_read_twice_is_one_matrix_equal_to_the_eager_one(self):
+        # the lift route builds every origin eagerly, from the same matrices
+        for spec in chain([WORKED], wide_margin_grid()):
+            eager = {}
+            for term in star_product(*spec, path="lift").terms():
+                eager.setdefault(term, []).append(term.origin)
+            for term in star_product(*spec).terms():
+                first = term.origin
+                assert type(first) is CubicalMatrix, spec
+                assert term.origin is first, spec
+                eager[term].remove(first)  # raises unless an equal is left
+            assert not any(eager.values()), spec
+
+    def test_default_star_builds_no_matrix(self, monkeypatch, capsys):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return CubicalMatrix(*args)
+
+        monkeypatch.setattr(qstar.expansion, "CubicalMatrix", counted)
+        for fmt in ("text", "json"):
+            assert main([*self.STAR, "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+        assert built == []
+        # the counter sees a build: the first read of an origin
+        term = next(star_product(*WORKED).terms())
+        assert term.origin == CubicalMatrix(*built[0])
+        assert len(built) == 1
+
+    def test_equality_hash_and_repr_ignore_it(self):
+        for term in star_product(*WORKED).terms():
+            bare = ETerm(term.hbar, term.scalar, term.slots)
+            for _ in range(2):  # before the first read and after it
+                assert term == bare and hash(term) == hash(bare)
+                assert repr(term) == repr(bare)
+                assert term.origin is not None
+
+
+def times(f, g, n, star=star_product):
+    """The terms of e_f * e_g for factors (margin, monomials).
+
+    An empty margin is e_() = 1, the unit, which star_product rejects.
+    """
+    (alpha, p), (beta, q) = f, g
+    if not alpha or not beta:
+        margin, monos = g if not alpha else f
+        return [ETerm(0, 1, canonical_slots(
+            [(v, mono) for v, mono in zip(margin, monos) if v]))]
+    return list(star(alpha, beta, p, q, n).terms())
+
+
+def triple_product(f, g, h, n, star, left: bool) -> dict:
+    """(e_f * e_g) * e_h when left, else e_f * (e_g * e_h), in orbits.
+
+    Each term c e_mu(m) h^k of the inner product is multiplied by the
+    outer factor with star, scaled by c and shifted by h^k.
+    """
+    out = []
+    for t in times(f, g, n, star) if left else times(g, h, n, star):
+        inner = t.multiplicities(), t.arguments()
+        outer = times(inner, h, n, star) if left else times(f, inner, n, star)
+        out += [ETerm(t.hbar + u.hbar, t.scalar * u.scalar, u.slots)
+                for u in outer]
+    return term_orbits(out, n)
+
+
+def associativity_grid():
+    """(f, g, h, n): three factors of 1-2 entries in 0..2, exponents <= 2."""
+    rng = random.Random(20261020)
+
+    def factor():
+        margin = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
+        return margin, tuple(
+            Monomial2(rng.randint(0, 2), rng.randint(0, 2)) for _ in margin)
+
+    for _ in range(300):
+        f, g, h = factor(), factor(), factor()
+        weights = (sum(f[0]), sum(g[0]), sum(h[0]), 1)
+        yield f, g, h, rng.randint(max(weights), 4)
+
+
+def powers_dropped(alpha, beta, p, q, n):
+    """star_product with each piece scalar a product of coeff, not coeff ** v.
+
+    Read off each term's origin: a scalar is the product of its runs'
+    coefficients, the boundary's being 1.
+    """
+    exp = star_product(alpha, beta, p, q, n)
+    entries = build_B(p, q).entries
+    return exp._replace(by_order={
+        hbar: [ETerm(t.hbar, prod([entries[r[:3]].coeff
+                                   for r in t.origin.entries]), t.slots)
+               for t in terms]
+        for hbar, terms in exp.by_order.items()
+    })
+
+
+class TestAssociativity:
+    """(e_f * e_g) * e_h = e_f * (e_g * e_h), with no Moyal side.
+
+    The Moyal product is associative, so both nestings agree in the orbit
+    basis.  The inner products hand star_product argument lists that no
+    other grid draws: repeated and constant monomials, more entries than
+    the input margins, and exponents summed from two factors.
+    """
+
+    GRID = list(associativity_grid())
+
+    def test_nestings_agree(self):
+        # e_() = 1 arises as an inner term in both nestings
+        for i, j in ((0, 1), (1, 2)):
+            assert any(not any(spec[i][0] + spec[j][0]) for spec in self.GRID)
+        for f, g, h, n in self.GRID:
+            left = triple_product(f, g, h, n, star_product, left=True)
+            right = triple_product(f, g, h, n, star_product, left=False)
+            assert left == right, (f, g, h, n)
+
+    def test_classical_slice_commutes(self):
+        for f, g, _, n in self.GRID:
+            fg, gf = (
+                {k: c for k, c in term_orbits(times(x, y, n), n).items()
+                 if k[1] == 0}
+                for x, y in ((f, g), (g, f))
+            )
+            assert fg == gf, (f, g, n)
+
+    def test_dropped_powers_break_it(self):
+        # the negative control: piece scalars without ** v
+        broken = [
+            spec for spec in self.GRID
+            if triple_product(*spec, powers_dropped, left=True)
+            != triple_product(*spec, powers_dropped, left=False)
+        ]
+        assert len(broken) >= 10
+
+
 class TestRender:
     def test_text_golden(self):
         exp = star_product((1,), (1,), (Y,), (X,), 1)
@@ -370,6 +515,32 @@ class TestWriter:
         with _unlimited_int_digits():
             for exp in writer_cases():
                 assert render(exp, "text") == reference_text(exp)
+
+    @pytest.mark.parametrize("fmt, name, reference", [
+        ("text", "_text_slot", reference_text),
+        ("json", "_json_slot", reference_json),
+    ])
+    def test_each_slot_written_once_per_call(self, monkeypatch, fmt, name,
+                                             reference):
+        # a second render shares slots with the first, and writes each of
+        # its own distinct slots once: the cache does not outlive a call
+        first = star_product(*WORKED)
+        second = star_product(*WORKED[:4], 5)
+        written = []
+        original = getattr(qstar.expansion, name)
+
+        def counted(slot):
+            written.append(slot)
+            return original(slot)
+
+        monkeypatch.setattr(qstar.expansion, name, counted)
+        render(first, fmt)
+        assert written
+        shared, written[:] = set(written), []
+        assert render(second, fmt) == reference(second)
+        slots = {slot for t in second.terms() for slot in t.slots}
+        assert slots & shared
+        assert len(written) == len(slots) and set(written) == slots
 
     def test_unknown_format(self):
         exp = star_product((1,), (1,), (Y,), (X,), 1)
