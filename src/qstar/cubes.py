@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import build_B
-from .tables import MarginMatrix, _check_margins, enumerate_L, weight
+from .tables import MarginMatrix, _check_margins, enumerate_L
 
 
 class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
@@ -72,12 +72,12 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
 def _fold(gammas, m: int, caps):
     """(gamma, runs, weight left) for each lift of weight <= m of each gamma.
 
-    A fold over gamma's nonzero interior cells (i, j), 1-based, row-major,
-    from the boundary at level 0 with weight m left.  Each partial takes,
-    in order, every piece that fits its weight left (later units fit at
-    level 0, so none is dropped): one (weight, runs) per multiset of the
-    cell's levels in combinations_with_replacement over 0..min(m, caps(i,
-    j)), built once per (i, j, units) and call.
+    A fold over gamma.cells(): from its boundary cells at level 0 with
+    weight m left, over its interior cells (i, j), 1-based, row-major.
+    Each partial takes, in order, every piece that fits its weight left
+    (later units fit at level 0, so none is dropped): one (weight, runs)
+    per multiset of the cell's levels in combinations_with_replacement
+    over 0..min(m, caps(i, j)), built once per (i, j, units) and call.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -90,17 +90,14 @@ def _fold(gammas, m: int, caps):
                 if (w := sum(combo)) <= m]
 
     for gamma in gammas:
-        rows = gamma.rows
-        edge = [(0, i, 0, row[0]) for i, row in enumerate(rows[1:], start=1)]
-        edge += [(0, 0, j, v) for j, v in enumerate(rows[0][1:], start=1)]
-        partial = [(edge, m)]
-        for i, row in enumerate(rows[1:], start=1):
-            for j, units in enumerate(row[1:], start=1):
-                if units:
-                    partial = [(runs + piece, wleft - w)
-                               for runs, wleft in partial
-                               for w, piece in pieces(i, j, units)
-                               if w <= wleft]
+        cells = gamma.cells()
+        partial = [([(0, i, j, v) for i, j, v in cells if not (i and j)], m)]
+        for i, j, units in cells:
+            if i and j:
+                partial = [(runs + piece, wleft - w)
+                           for runs, wleft in partial
+                           for w, piece in pieces(i, j, units)
+                           if w <= wleft]
         yield from ((gamma, runs, wleft) for runs, wleft in partial)
 
 
@@ -178,7 +175,7 @@ def max_order(alpha, beta, n, s_bound: int) -> int:
     with K_ij >= s_bound; otherwise every term lies strictly below M.
     """
     _check_margins(alpha, beta, n)
-    return s_bound * min(weight(alpha), weight(beta))
+    return s_bound * min(sum(alpha), sum(beta))
 
 
 def to_vector(gamma: CubicalMatrix, layout: str = "by-level",

@@ -137,16 +137,17 @@ def product_terms(alpha, beta, n, btable: BTable):
     """The terms of every capped cubical matrix over L, cell by cell.
 
     For each gamma of enumerate_L, the matrices that smash onto it with
-    cell (i, j) on levels 0..K_ij are the Cartesian product, over its
-    nonzero interior cells, of the multisets of gamma_ij levels.  Each
-    (i, j, units) table is built once per call: per multiset, in
+    cell (i, j) on levels 0..K_ij are the Cartesian product, over the
+    interior cells of gamma.cells(), of the multisets of gamma_ij levels.
+    Each (i, j, units) table is built once per call: per multiset, in
     combinations_with_replacement order, its weight, its scalar (the
     product of coeff ** v), its (degree, monomial, v, (v, monomial)) slot
-    triples and its runs.  The boundary's runs and triples are fixed per
-    gamma, and its coefficients are 1, so a term is a sum of weights, a
-    product of scalars and one sort of the joined triples, the order of
-    canonical_slots, whose last fields are its slots.  A term's origin is
-    built from the boundary runs and its picked pieces on first read.
+    triples and its runs.  The boundary cells of gamma.cells() give, at
+    level 0, runs and triples fixed per gamma, with coefficients 1, so a
+    term is a sum of weights, a product of scalars and one sort of the
+    joined triples, the order of canonical_slots, whose last fields are
+    its slots.  A term's origin is built from the boundary runs and its
+    picked pieces on first read.
     """
     a, b = len(alpha), len(beta)
     entries = btable.entries
@@ -168,19 +169,11 @@ def product_terms(alpha, beta, n, btable: BTable):
         return out
 
     for gamma in enumerate_L(alpha, beta, n):
-        rows = gamma.rows
-        edge = [(0, i, 0, row[0])
-                for i, row in enumerate(rows[1:], start=1) if row[0]]
-        edge += [(0, 0, j, v)
-                 for j, v in enumerate(rows[0][1:], start=1) if v]
+        cells = gamma.cells()
+        edge = [(0, i, j, v) for i, j, v in cells if not (i and j)]
         fixed = [triple(*r) for r in edge]
         base = a, b, edge
-        pieces = [
-            table(i, j, units)
-            for i, row in enumerate(rows[1:], start=1)
-            for j, units in enumerate(row[1:], start=1)
-            if units
-        ]
+        pieces = [table(i, j, units) for i, j, units in cells if i and j]
         for pick in product(*pieces):
             hbar = 0
             scalar = 1
@@ -197,8 +190,9 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
 
     Both paths take L from enumerate_L and cap cell (i, j) at K_ij, so
-    every matrix they build contributes; they differ in placing the
-    levels and in assembling the terms.  The enumerate path assembles
+    every matrix they build contributes: neither yields None, which
+    gamma_to_eterm keeps for a unit above K_ij.  They differ in placing
+    the levels and in assembling the terms.  The enumerate path assembles
     each term from per-cell pieces (product_terms) with no weight bound: a
     level is at most K_ij <= S and the interior holds at most min(|alpha|,
     |beta|) units, so no matrix weighs more than M.  The lift path folds
@@ -228,8 +222,7 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
                  lift_all(alpha, beta, n, m_bound, btable.k_max))
     by_order = {}
     for term in terms:
-        if term is not None:
-            by_order.setdefault(term.hbar, []).append(term)
+        by_order.setdefault(term.hbar, []).append(term)
     for terms in by_order.values():
         terms.sort(key=attrgetter("slots", "scalar"))
     return StarExpansion(

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .algebra import Monomial2, ScaledMonomial, render_monomial
 from .expansion import ETerm, StarExpansion, star_product
-from .tables import classical_product, weight
+from .tables import classical_product
 
 
 class NPoly:
@@ -134,9 +134,9 @@ def expand_elementary(alpha, p, n: int) -> NPoly:
     p = tuple(p)
     if len(alpha) != len(p):
         raise ValueError("alpha and p must have equal length")
-    if weight(alpha) > n:
+    if sum(alpha) > n:
         warnings.warn(
-            f"|alpha|={weight(alpha)} exceeds n={n}: zero polynomial",
+            f"|alpha|={sum(alpha)} exceeds n={n}: zero polynomial",
             stacklevel=2,
         )
         return NPoly(n)

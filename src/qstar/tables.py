@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-
-def weight(multi_index) -> int:
-    return sum(multi_index)
+from .algebra import Monomial2
 
 
 class MarginMatrix(NamedTuple):
@@ -33,12 +31,21 @@ class MarginMatrix(NamedTuple):
         i, j = ij
         return self.rows[i][j]
 
+    def cells(self) -> list:
+        """The two-line array: the nonzero (i, j, v), row-major.
+
+        Row 0 and column 0 are included, so the boundary (the slack) is
+        here too; the corner is always 0.
+        """
+        return [(i, j, v) for i, row in enumerate(self.rows)
+                for j, v in enumerate(row) if v]
+
 
 def _check_margins(alpha, beta, n):
-    if weight(alpha) > n or weight(beta) > n:
+    if sum(alpha) > n or sum(beta) > n:
         raise ValueError(
-            f"margins exceed n: |alpha|={weight(alpha)}, "
-            f"|beta|={weight(beta)}, n={n}"
+            f"margins exceed n: |alpha|={sum(alpha)}, "
+            f"|beta|={sum(beta)}, n={n}"
         )
     if not alpha or not beta:
         raise ValueError("alpha and beta must be nonempty")
@@ -75,8 +82,8 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     a, b = len(alpha), len(beta)
     cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
     # total = |alpha| + |beta| - (interior units), so total <= n needs this
-    min_units = weight(alpha) + weight(beta) - n
-    full = min(weight(alpha), weight(beta))
+    min_units = sum(alpha) + sum(beta) - n
+    full = min(sum(alpha), sum(beta))
     rows = [[0] * (b + 1) for _ in range(a + 1)]
     rows[0][1:] = beta
     for i, v in enumerate(alpha, start=1):
@@ -111,30 +118,18 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
 def classical_product(alpha, p, beta, q, n):
     """Classical product of e_alpha(p) and e_beta(q) as h^0 terms.
 
-    One term per gamma in L(alpha, beta, n); arguments are p, q and the
-    pairwise commutative products p_i * q_j with multiplicities read off
-    gamma.
+    One term per gamma in L(alpha, beta, n), read off gamma.cells(): cell
+    (i, j) with v units is the slot (v, p_i * q_j), where p_0 = q_0 = 1,
+    so column 0 gives p_i, row 0 gives q_j and the interior the pairwise
+    commutative products.
     """
     from .expansion import ETerm, canonical_slots
 
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    p = tuple(p)
-    q = tuple(q)
-    if len(p) != len(alpha) or len(q) != len(beta):
+    alpha, beta = tuple(alpha), tuple(beta)
+    P = (Monomial2(), *p)
+    Q = (Monomial2(), *q)
+    if len(P) != len(alpha) + 1 or len(Q) != len(beta) + 1:
         raise ValueError("monomial lists must match multi-index lengths")
-    terms = []
-    for gamma in enumerate_L(alpha, beta, n):
-        slots = []
-        for i in range(1, len(alpha) + 1):
-            if gamma[i, 0]:
-                slots.append((gamma[i, 0], p[i - 1]))
-        for j in range(1, len(beta) + 1):
-            if gamma[0, j]:
-                slots.append((gamma[0, j], q[j - 1]))
-        for i in range(1, len(alpha) + 1):
-            for j in range(1, len(beta) + 1):
-                if gamma[i, j]:
-                    slots.append((gamma[i, j], p[i - 1] * q[j - 1]))
-        terms.append(ETerm(0, 1, canonical_slots(slots)))
-    return terms
+    return [ETerm(0, 1, canonical_slots(
+                [(v, P[i] * Q[j]) for i, j, v in gamma.cells()]))
+            for gamma in enumerate_L(alpha, beta, n)]

@@ -12,7 +12,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .cubes import CubicalMatrix
-from .tables import _check_margins, depth_first, weight
+from .tables import _check_margins, depth_first
 
 
 class ThreeWord(NamedTuple):
@@ -92,8 +92,8 @@ def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
     if total != m:
         return f"condition (iii): level sum {total} != m={m}"
     a, b = len(alpha), len(beta)
-    want2 = (len(omega) - weight(alpha),) + alpha
-    want3 = (len(omega) - weight(beta),) + beta
+    want2 = (len(omega) - sum(alpha),) + alpha
+    want3 = (len(omega) - sum(beta),) + beta
     if want2[0] < 0 or want3[0] < 0:
         return "condition (iv): fewer columns than the margin weight"
     t2 = row_type(omega, 2)
@@ -202,9 +202,9 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         if _cell_condition(s, i, j) is None
     ]
     out = []
-    for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
-        ti = [0, n_cols - weight(alpha), *alpha, 1]  # ti[v]: row-2 value v
-        tj = [0, n_cols - weight(beta)] + list(beta)
+    for n_cols in range(max(sum(alpha), sum(beta)), n + 1):
+        ti = [0, n_cols - sum(alpha), *alpha, 1]  # ti[v]: row-2 value v
+        tj = [0, n_cols - sum(beta)] + list(beta)
         cols = []
 
         def node(start: int, wrem: int, rem: int, low: int):

@@ -6,6 +6,7 @@ from conftest import (
     col_margin,
     combinatorial_grid,
     exact_lifts,
+    from_margin,
     interior_support_count,
     row_margin,
     total,
@@ -79,6 +80,28 @@ class TestEnumerateL:
         if sum(alpha) > n or sum(beta) > n:
             return
         assert set(enumerate_L(alpha, beta, n)) == brute_force_L(alpha, beta, n)
+
+
+class TestCells:
+    def test_two_line_array_over_grid(self):
+        # m only varies the grid's lift depth, so each L is read once
+        for alpha, beta, n in {spec[:3] for spec in combinatorial_grid()}:
+            for g in enumerate_L(alpha, beta, n):
+                cells = g.cells()
+                assert cells == [
+                    (i, j, g[i, j])
+                    for i in range(g.a + 1) for j in range(g.b + 1)
+                    if g[i, j]
+                ]
+                rows = [[0] * (g.b + 1) for _ in range(g.a + 1)]
+                for i, j, v in cells:
+                    rows[i][j] = v
+                assert MarginMatrix(tuple(map(tuple, rows))) == g
+                level0 = CubicalMatrix(
+                    g.a, g.b, [(0, i, j, v) for i, j, v in cells]
+                )
+                assert level0 == from_margin(g)
+                assert level0.smash() == g
 
 
 class TestInteriorSupportCount:

@@ -15,7 +15,7 @@ from conftest import (
 )
 import qstar
 from qstar.cubes import CubicalMatrix, enumerate_Q
-from qstar.tables import MarginMatrix, weight
+from qstar.tables import MarginMatrix
 from qstar.words import (
     ThreeWord,
     decode,
@@ -39,9 +39,9 @@ def unpruned_enumerate_A(alpha, beta, n, m):
         if not (i == j == 1) and not (s > 0 and (i == 1 or j == 1))
     )
     out = []
-    for n_cols in range(max(weight(alpha), weight(beta)), n + 1):
-        ti = [0, n_cols - weight(alpha)] + list(alpha)
-        tj = [0, n_cols - weight(beta)] + list(beta)
+    for n_cols in range(max(sum(alpha), sum(beta)), n + 1):
+        ti = [0, n_cols - sum(alpha)] + list(alpha)
+        tj = [0, n_cols - sum(beta)] + list(beta)
         cols = []
 
         def rec(idx, wrem, rem):
@@ -77,7 +77,7 @@ def three_entry_grid():
         for beta in margins:
             if max(len(alpha), len(beta)) < 3:
                 continue
-            lo = max(weight(alpha), weight(beta))
+            lo = max(sum(alpha), sum(beta))
             for n in (lo, 6):
                 for m in range(5):
                     yield alpha, beta, n, m
