@@ -176,44 +176,37 @@ def cmd_enum(args) -> int:
         raise ValueError(f"enum {kind} does not take {', '.join(refused)}")
     if kind == "L":
         items = tables.enumerate_L(alpha, beta, args.n)
-        lines = [
-            ",".join(str(v) for row in g.rows for v in row) for g in items
-        ]
+
+        def line(g):
+            return ",".join(str(v) for row in g.rows for v in row)
+    elif args.m is None:
+        raise ValueError(f"enum {kind} requires --m")
+    elif kind == "A":
+        items = words.enumerate_A(alpha, beta, args.n, args.m)
+        line = _render_word
     else:
-        if args.m is None:
-            raise ValueError(f"enum {kind} requires --m")
-        if kind == "A":
-            items = words.enumerate_A(alpha, beta, args.n, args.m)
-            lines = [_render_word(w) for w in items]
-        else:
-            if args.levels is not None and args.levels < 1:
-                raise ValueError("--levels must be at least 1")
-            if args.levels is not None and args.layout == "by-pair":
-                raise ValueError(
-                    "enum Q --layout by-pair does not take --levels"
-                )
-            if (args.p is None) != (args.q is None):
-                raise ValueError("--p and --q must be given together")
-            btable = None
-            pad = None
-            if args.p is not None:
-                p, q = _read_monomials(args, alpha, beta)
-                btable = algebra.build_B(p, q)
-                pad = cubes.contributing_support(p, q) + 1
-            if args.levels is not None:
-                pad = args.levels
-            items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
-            lines = [
-                ",".join(map(str, cubes.to_vector(
-                    g, layout=args.layout or "by-level", btable=btable,
-                    levels=pad,
-                )))
-                for g in items
-            ]
-    if args.count_only:
-        _emit(str(len(items)), args.output)
-    else:
-        _emit("\n".join(lines), args.output)
+        layout = args.layout or "by-level"
+        if args.levels is not None and args.levels < 1:
+            raise ValueError("--levels must be at least 1")
+        if args.levels is not None and layout == "by-pair":
+            raise ValueError("enum Q --layout by-pair does not take --levels")
+        if (args.p is None) != (args.q is None):
+            raise ValueError("--p and --q must be given together")
+        if args.p is None and layout == "by-pair":
+            raise ValueError("enum Q --layout by-pair requires --p and --q")
+        btable = pad = None
+        if args.p is not None:
+            p, q = _read_monomials(args, alpha, beta)
+            btable = algebra.build_B(p, q)
+            pad = cubes.contributing_support(p, q) + 1
+        items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
+
+        def line(g):
+            return ",".join(map(str, cubes.to_vector(
+                g, layout=layout, btable=btable, levels=args.levels or pad)))
+    # the one place that decides whether a line is built: never to count
+    _emit(str(len(items)) if args.count_only
+          else "\n".join(map(line, items)), args.output)
     return EXIT_OK
 
 

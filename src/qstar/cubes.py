@@ -113,7 +113,7 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     out = [CubicalMatrix(gamma.a, gamma.b, runs) for gamma, runs, wleft
            in _fold(enumerate_L(alpha, beta, n), m, lambda i, j: m)
            if not wleft]
-    out.sort(key=lambda g: to_vector(g, levels=m + 1))
+    out.sort(key=to_vector)
     return out
 
 

@@ -186,7 +186,10 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     taken only at level 0, so tj[1] once s > 0 and ti[1] once i > 1);
     or at s = m a row-2 value below i is unspent: the least unspent value
     >= 2 is carried down the walk, so that cut reads one number.  Each
-    holds for every later candidate too.
+    holds for every later candidate too.  No word has more than
+    |alpha|+|beta| columns: a column with row-2 value 1 needs a row-3
+    value >= 2, as the corner (s,1,1) has no cell, so the column count
+    stops there, however large n is.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -202,7 +205,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         if _cell_condition(s, i, j) is None
     ]
     out = []
-    for n_cols in range(max(sum(alpha), sum(beta)), n + 1):
+    for n_cols in range(max(sum(alpha), sum(beta)),
+                        min(n, sum(alpha) + sum(beta)) + 1):
         ti = [0, n_cols - sum(alpha), *alpha, 1]  # ti[v]: row-2 value v
         tj = [0, n_cols - sum(beta)] + list(beta)
         cols = []

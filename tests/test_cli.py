@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scalars_dropped
-from qstar import cli
+from conftest import combinatorial_grid, scalars_dropped
+from qstar import cli, cubes
 from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
 
@@ -229,6 +229,75 @@ class TestEnum:
         )
         assert (code, out, err) == (0, "1\n", "")
 
+    @pytest.mark.parametrize("spec", [
+        ["--alpha", "1", "--beta", "1", "--n", "1", "--m", "0"],
+        ["--alpha", "0", "--beta", "0", "--n", "0", "--m", "5"],
+    ], ids=["one-cell", "empty"])
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]],
+                             ids=["list", "count"])
+    def test_by_pair_needs_monomials(self, capsys, spec, count_only):
+        # refused with the other option checks, whatever Q holds: by-pair
+        # places come from the B table that --p and --q build
+        code, out, err = run(capsys, "enum", "Q", *spec,
+                             "--layout", "by-pair", *count_only)
+        assert (code, out) == (2, "")
+        assert err == "error: enum Q --layout by-pair requires --p and --q\n"
+
+
+class TestEnumCountOnly:
+    @staticmethod
+    def _flags(kind, alpha, beta, n, m, layout=None):
+        flags = ["enum", kind, "--alpha", ",".join(map(str, alpha)),
+                 "--beta", ",".join(map(str, beta)), "--n", str(n)]
+        if kind != "L":
+            flags += ["--m", str(m)]
+        if layout:  # every K_ij = 3 >= m: no level overflows by-pair
+            monomials = [",".join(["x^3y^3"] * len(margin))
+                         for margin in (alpha, beta)]
+            flags += ["--layout", layout,
+                      "--p", monomials[0], "--q", monomials[1]]
+        return flags
+
+    def test_no_line_is_written(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a line was written")
+
+        def sort_key_only(g, **layout):
+            # enumerate_Q sorts by to_vector(g); a line passes its layout
+            return broken() if layout else to_vector(g)
+
+        to_vector = cubes.to_vector
+        monkeypatch.setattr("qstar.cli._render_word", broken)
+        monkeypatch.setattr("qstar.cubes.to_vector", sort_key_only)
+        for argv, count in [
+            (self._flags("A", (1, 1), (2, 1), 4, 1), "10"),
+            (self._flags("Q", (1, 1), (2, 1), 4, 1), "10"),
+            (self._flags("Q", (1, 1), (2, 1), 4, 1, "by-level"), "10"),
+            (self._flags("Q", (1, 1), (2, 1), 4, 1, "by-pair"), "10"),
+        ]:
+            code, out, err = run(capsys, *argv, "--count-only")
+            assert (code, out, err) == (0, count + "\n", ""), argv
+
+    def test_count_matches_the_listing(self, capsys):
+        for alpha, beta, n, m in combinatorial_grid():
+            for kind, layout in [("L", None), ("A", None),
+                                 ("Q", None), ("Q", "by-pair")]:
+                argv = self._flags(kind, alpha, beta, n, m, layout)
+                code, listing, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                code, count, err = run(capsys, *argv, "--count-only")
+                assert (code, err) == (0, ""), argv
+                assert count == f"{len(listing.splitlines())}\n", argv
+
+    def test_count_skips_the_by_pair_overflow_check(self, capsys):
+        # the one output --count-only changes: a level above K_ij is
+        # found only when its line is written, so a count reports none
+        argv = ["enum", "Q", "--alpha", "1", "--beta", "1", "--n", "1",
+                "--m", "2", "--layout", "by-pair", "--p", "y", "--q", "x"]
+        assert run(capsys, *argv, "--count-only") == (0, "1\n", "")
+        assert run(capsys, *argv) == (
+            2, "", "error: entry at level 2 exceeds K_11=1\n")
+
 
 class TestWord:
     def test_decode_example(self, capsys):
@@ -441,6 +510,18 @@ class TestLongMargins:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (141, b"")
 
+
+    def test_enum_a_stops_at_the_longest_word(self):
+        # no word has more than |alpha|+|beta| columns, so a huge n costs
+        # no more than n = 2; a walk up to n would take minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "qstar.cli", "enum", "A", "--alpha", "1",
+             "--beta", "1", "--n", "100000000", "--m", "0"],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "(0,1,2);(0,2,1)\n(0,2,2)\n", "")
 
     @pytest.mark.parametrize("argv, count", [
         (["enum", "L", "--alpha", ",".join(["1"] * 200), "--beta", "200",

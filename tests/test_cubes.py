@@ -104,6 +104,14 @@ class TestEnumerateQ:
             assert (row_margin(g, 1), row_margin(g, 2)) == (1, 2)
             assert (col_margin(g, 1), col_margin(g, 2)) == (2, 1)
 
+    def test_order_is_the_padded_vector_order(self):
+        # sorted by the unpadded vector, a prefix of the one padded to
+        # m + 1 levels whose next entries are zeros: the same order
+        for alpha, beta, n, m in combinatorial_grid():
+            got = enumerate_Q(alpha, beta, n, m)
+            assert got == sorted(
+                got, key=lambda g: to_vector(g, levels=m + 1))
+
     def test_deep_level_cap(self):
         # the recursion depth of the enumerator does not grow with the cap
         (g,) = enumerate_Q((1,), (1,), 1, 1500)

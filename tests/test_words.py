@@ -229,6 +229,17 @@ class TestEnumerateA:
                 encode(g) for g in enumerate_Q(alpha, beta, n, m)
             }
 
+    def test_no_word_is_longer_than_the_margins(self):
+        # a column with row-2 value 1 needs a row-3 value >= 2 (the corner
+        # has no cell), so no word has more than |alpha|+|beta| columns;
+        # the plain backtracker still walks every column count up to n
+        for alpha, beta, n, m in combinatorial_grid():
+            top = sum(alpha) + sum(beta)
+            if n > top:
+                got = enumerate_A(alpha, beta, n, m)
+                assert got == enumerate_A(alpha, beta, top, m)
+                assert got == unpruned_enumerate_A(alpha, beta, n, m)
+
     def test_depth_does_not_grow_with_m(self):
         # one column, so one node, however many levels lie below it
         assert enumerate_A((1,), (1,), 1, 100000) == [
