@@ -92,16 +92,23 @@ class BTable(_ReadOnly):
     argument a unit there contributes: (0, i, 0) to p_i, (0, 0, j) to q_j
     and (k, i, j) to the star-kernel term of grade k for p_i * q_j, for
     k <= K_ij, so an interior place missing from the map lies above K_ij.
-    The map is in flat order, which is also the by-pair vector layout:
-    p's, then q's, then the pairs (i, j) row-major with k innermost.
+    Its flat order, the by-pair vector layout, is p's, q's, then the pairs
+    (i, j) row-major with k innermost; columns maps each place to its index.
     """
 
-    __slots__ = ("p_args", "q_args", "entries")
+    __slots__ = ("p_args", "q_args", "entries", "_columns")
 
     def __init__(self, p_args: tuple, q_args: tuple, entries: dict):
         object.__setattr__(self, "p_args", p_args)
         object.__setattr__(self, "q_args", q_args)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def columns(self) -> dict:
+        if not hasattr(self, "_columns"):  # the slot is unset until then
+            object.__setattr__(self, "_columns", {
+                place: col for col, place in enumerate(self.entries)})
+        return self._columns
 
     @property
     def a(self) -> int:

@@ -122,6 +122,13 @@ def _parse_word(text: str) -> words.ThreeWord:
     return words.ThreeWord(tuple(cols))
 
 
+class _Text(dict):
+    """str(v) for the ints of one listing, each made once, on first use."""
+
+    def __missing__(self, v: int) -> str:
+        return self.setdefault(v, str(v))
+
+
 def _render_word(omega: words.ThreeWord) -> str:
     return ";".join(f"({s},{i},{j})" for s, i, j in omega.columns)
 
@@ -174,11 +181,12 @@ def cmd_enum(args) -> int:
     ]
     if refused:
         raise ValueError(f"enum {kind} does not take {', '.join(refused)}")
+    text = _Text().__getitem__
     if kind == "L":
         items = tables.enumerate_L(alpha, beta, args.n)
 
         def line(g):
-            return ",".join(str(v) for row in g.rows for v in row)
+            return ",".join([text(v) for row in g.rows for v in row])
     elif args.m is None:
         raise ValueError(f"enum {kind} requires --m")
     elif kind == "A":
@@ -202,7 +210,7 @@ def cmd_enum(args) -> int:
         items = cubes.enumerate_Q(alpha, beta, args.n, args.m)
 
         def line(g):
-            return ",".join(map(str, cubes.to_vector(
+            return ",".join(map(text, cubes.to_vector(
                 g, layout=layout, btable=btable, levels=args.levels or pad)))
     # the one place that decides whether a line is built: never to count
     _emit(str(len(items)) if args.count_only

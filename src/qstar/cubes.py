@@ -185,42 +185,43 @@ def to_vector(gamma: CubicalMatrix, layout: str = "by-level",
     by-level: boundary (column 0 then row 0) followed by the interior of
     each level row-major; `levels` pads with zero levels.  by-pair: the
     count at each place of btable.entries, in its flat order (boundary,
-    then per (i, j) the levels k = 0..K_ij).  A run outside the shape
-    (the corner cell, a row or column past a or b), on the boundary above
-    level 0 or, by-pair, in the interior above K_ij raises ValueError.
+    then per (i, j) the levels k = 0..K_ij), each run written at its
+    btable.columns index.  The first run outside the shape (the corner
+    cell, a row or column past a or b) or on the boundary above level 0
+    raises ValueError; by-pair, then the least (i, j, k) above K_ij does.
     """
     a, b = gamma.a, gamma.b
-    by_pair = layout == "by-pair"
-    if by_pair:
+    if layout == "by-pair":
         if btable is None:
             raise ValueError("by-pair layout requires a BTable")
         if (a, b) != (btable.a, btable.b):
             raise ValueError("matrix dimensions do not match the BTable")
-        counts = {}
-    elif layout == "by-level":
-        nlevels = max(gamma.support_level() + 1, levels or 1)
-        vec = [0] * (a + b + nlevels * a * b)
-    else:
+        columns = btable.columns
+        vec = [0] * len(columns)
+        try:
+            for k, i, j, v in gamma.entries:
+                vec[columns[k, i, j]] = v
+        except KeyError:  # a run with no place in the table
+            to_vector(gamma)  # raises if a run has no cell in the shape
+            i, j, k = min((i, j, k) for k, i, j, _ in gamma.entries
+                          if (k, i, j) not in columns)  # above K_ij
+            raise ValueError(f"entry at level {k} exceeds K_{i}{j}="
+                             f"{btable.k_max(i, j)}") from None
+        return tuple(vec)
+    if layout != "by-level":
         raise ValueError(f"unknown layout {layout!r}")
+    nlevels = max(gamma.support_level() + 1, levels or 1)
+    vec = [0] * (a + b + nlevels * a * b)
     for k, i, j, v in gamma.entries:
-        if i > a or j > b or not (i or j):
-            raise ValueError(f"run {k, i, j, v} is outside the shape {a},{b}")
-        if k and not (i and j):
-            raise ValueError(f"boundary run {k, i, j, v} is above level 0")
-        if by_pair:
-            counts[k, i, j] = v
-        elif i and j:
+        if i and j and i <= a and j <= b:
             vec[a + b + (k * a + i - 1) * b + j - 1] = v
+        elif i > a or j > b or not (i or j):
+            raise ValueError(f"run {k, i, j, v} is outside the shape {a},{b}")
+        elif k:
+            raise ValueError(f"boundary run {k, i, j, v} is above level 0")
         else:
             vec[i - 1 if i else a + j - 1] = v
-    if not by_pair:
-        return tuple(vec)
-    vec = tuple(counts.pop(place, 0) for place in btable.entries)
-    if counts:  # interior runs with no place: units above K_ij
-        i, j, k = min((i, j, k) for k, i, j in counts)
-        top = btable.k_max(i, j)
-        raise ValueError(f"entry at level {k} exceeds K_{i}{j}={top}")
-    return vec
+    return tuple(vec)
 
 
 def from_vector(vec, layout: str = "by-level", shape=None,

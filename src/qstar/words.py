@@ -179,17 +179,19 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     the enumerate route's per-cell pieces in expansion.product_terms);
     it checks Q(m), and at m = 0 enumerate_L.  The walk runs under
     tables.depth_first, so neither the column count nor m reaches the
-    recursion limit.  Candidates come in lex order of (s, i, j) and the
-    top level is m, so a branch ends once it cannot complete: the rem
-    columns left cannot carry a weight in [s*rem, m*rem]; a boundary
-    count is unspent past its last candidate (value 1 is the boundary,
-    taken only at level 0, so tj[1] once s > 0 and ti[1] once i > 1);
-    or at s = m a row-2 value below i is unspent: the least unspent value
-    >= 2 is carried down the walk, so that cut reads one number.  Each
-    holds for every later candidate too.  No word has more than
-    |alpha|+|beta| columns: a column with row-2 value 1 needs a row-3
-    value >= 2, as the corner (s,1,1) has no cell, so the column count
-    stops there, however large n is.
+    recursion limit.  Candidates come in lex order of (s, i, j), a spent
+    row-2 value's (s, i) group is stepped over at once, and the top level
+    is m, so a branch ends once it cannot complete: the rem columns left
+    cannot carry a weight in [s*rem, m*rem]; a boundary count is unspent
+    past its last candidate (value 1 is the boundary, taken only at level
+    0, so tj[1] once s > 0 and ti[1] once i > 1); or at s = m a row-2
+    value below i is unspent, or the row-3 units owed below j exceed the
+    rem - ti[i] that the rows after i hold (those below are spent): rows
+    and columns are cut alike.  Each cut reads carried numbers and holds
+    for every later candidate too.  No word has more than |alpha|+|beta|
+    columns: a column with row-2 value 1 needs a row-3 value >= 2, as the
+    corner (s,1,1) has no cell, so the column count stops there, however
+    large n is.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -197,13 +199,8 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     beta = tuple(beta)
     _check_margins(alpha, beta, n)
     a, b = len(alpha), len(beta)
-    candidates = [
-        (s, i, j)
-        for s in range(m + 1)
-        for i in range(1, a + 2)
-        for j in range(1, b + 2)
-        if _cell_condition(s, i, j) is None
-    ]
+    candidates = [(s, i, j) for s in range(m + 1) for i in range(1, a + 2)
+                  for j in range(1, b + 2) if _cell_condition(s, i, j) is None]
     out = []
     for n_cols in range(max(sum(alpha), sum(beta)),
                         min(n, sum(alpha) + sum(beta)) + 1):
@@ -211,7 +208,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         tj = [0, n_cols - sum(beta)] + list(beta)
         cols = []
 
-        def node(start: int, wrem: int, rem: int, low: int):
+        def node(idx: int, wrem: int, rem: int, low: int, owed: int):
             """Record a full word, or place each child's columns, yield it."""
             while not ti[low]:  # stops at the 1 appended at index a + 2
                 low += 1  # now the least row-2 value >= 2 left unspent
@@ -221,23 +218,32 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                 return
             if wrem > m * rem:
                 return
-            for idx in range(start, len(candidates)):
+            while idx < len(candidates):
                 s, i, j = candidates[idx]
-                if (s * rem > wrem or (s > 0 and tj[1])
-                        or (i > 1 and ti[1]) or (s == m and low < i)):
+                ui, uj = ti[i], tj[j]
+                if j <= 2:  # owed is sum(tj[1:j]), carried as j grows
+                    owed = tj[1] if j == 2 else 0
+                if (s * rem > wrem or (s > 0 and tj[1]) or (i > 1 and ti[1])
+                        or (s == m and (low < i or owed > rem - ui))):
                     return  # every later candidate fails the same cut
-                cap = min(ti[i], tj[j], rem)
-                if s > 0:
-                    cap = min(cap, wrem // s)
+                if not ui:  # step past the (s, i) group: it ends at b + 1
+                    idx += b + 2 - j
+                    continue
+                cap = ui if ui < uj else uj  # rem >= ui: rem sums ti
+                if s * cap > wrem:
+                    cap = wrem // s
                 for c in range(1, cap + 1):
                     ti[i] -= c
                     tj[j] -= c
                     cols.extend([(s, i, j)] * c)
-                    yield node(idx + 1, wrem - s * c, rem - c, low)
+                    yield node(idx + 1, wrem - s * c, rem - c, low,
+                               owed + uj - c)
                     del cols[len(cols) - c:]
                     ti[i] += c
                     tj[j] += c
+                owed += uj
+                idx += 1
 
-        depth_first(node(0, m, n_cols, 2))
+        depth_first(node(0, m, n_cols, 2, 0))
     out.sort()
     return out

@@ -523,6 +523,37 @@ class TestLongMargins:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "(0,1,2);(0,2,1)\n(0,2,2)\n", "")
 
+    @pytest.mark.parametrize("argv, out", [
+        (["enum", "Q", "--m", "0"], "0,0,1\n1,1,0\n"),
+        (["enum", "Q", "--m", "0", "--layout", "by-pair", "--p", "y",
+          "--q", "x"], "0,0,1,0\n1,1,0,0\n"),
+        (["enum", "L"], "0,0,0,1\n0,1,1,0\n"),
+    ], ids=["Q-by-level", "Q-by-pair", "L"])
+    def test_listing_text_is_sized_by_the_margins(self, argv, out):
+        # every entry written is at most max(alpha + beta) = 1, so the
+        # text of the entries costs nothing that grows with n
+        proc = subprocess.run(
+            [sys.executable, "-m", "qstar.cli", *argv, "--alpha", "1",
+             "--beta", "1", "--n", "100000000"],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+    def test_enum_a_on_a_wide_beta(self):
+        # the transpose of the 1,000-row spec: the walk cuts on the row-3
+        # values it owes as on the row-2 values, so it costs about as much;
+        # with the row cut alone it would not finish within the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "qstar.cli", "enum", "A", "--alpha", "1",
+             "--beta", ",".join(["1"] * 1000), "--n", "1000", "--m", "0",
+             "--count-only"],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "1000\n", "")
+
     @pytest.mark.parametrize("argv, count", [
         (["enum", "L", "--alpha", ",".join(["1"] * 200), "--beta", "200",
           "--n", "200"], "1"),

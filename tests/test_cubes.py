@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,21 @@ def matrices_with_btable(draw):
     q = draw(st.lists(monomials, min_size=1, max_size=3))
     btable = build_B(p, q)
     return draw(cubical_matrices(len(p), len(q), btable.k_max)), btable
+
+
+def by_pair_walk(gamma, btable):
+    """The by-pair vector by a walk over every place of btable.
+
+    The reference for to_vector's O(runs) codec: one count per place, and
+    the units left over, those above K_ij, named by their least (i, j, k).
+    """
+    counts = {(k, i, j): v for k, i, j, v in gamma.entries}
+    vec = tuple(counts.pop(place, 0) for place in btable.entries)
+    if counts:
+        i, j, k = min((i, j, k) for k, i, j in counts)
+        raise ValueError(
+            f"entry at level {k} exceeds K_{i}{j}={btable.k_max(i, j)}")
+    return vec
 
 
 SEC2_CLASSICAL = mk([[0, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -385,6 +401,45 @@ class TestVectorCodec:
         btable = build_B((Y,), (X,))
         with pytest.raises(ValueError, match=message):
             to_vector(CubicalMatrix(1, 1, runs), "by-pair", btable)
+
+    def test_by_pair_names_the_least_cell_above_its_grade(self):
+        # the runs sort level first, (2, 1, 2) before (3, 1, 1); the error
+        # names the least (i, j, k), in cell (1, 1)
+        btable = build_B((Y,), (X, X))
+        g = CubicalMatrix(1, 2, ((2, 1, 2, 1), (3, 1, 1, 1)))
+        with pytest.raises(ValueError) as err:
+            to_vector(g, "by-pair", btable)
+        assert str(err.value) == "entry at level 3 exceeds K_11=1"
+
+    def test_by_pair_names_a_run_outside_the_shape_first(self):
+        # whatever their order, a run with no cell beats a unit above K_ij
+        btable = build_B((Y,), (X,))
+        g = CubicalMatrix(1, 1, ((2, 1, 1, 1), (3, 1, 2, 1)))
+        with pytest.raises(ValueError) as err:
+            to_vector(g, "by-pair", btable)
+        assert str(err.value) == "run (3, 1, 2, 1) is outside the shape 1,1"
+
+    def test_by_pair_matches_the_per_place_walk(self):
+        # seeded monomials, so that some matrices have units above K_ij
+        def outcome(write):
+            try:
+                return write()
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(20261020)
+        written = 0
+        for alpha, beta, n, m in combinatorial_grid():
+            p, q = ([Monomial2(rng.randint(0, 3), rng.randint(0, 3))
+                     for _ in margin] for margin in (alpha, beta))
+            btable = build_B(p, q)
+            for g in enumerate_Q(alpha, beta, n, m):
+                vec = outcome(lambda: by_pair_walk(g, btable))
+                assert outcome(lambda: to_vector(g, "by-pair", btable)) == vec
+                if isinstance(vec, tuple):
+                    assert from_vector(vec, "by-pair", btable=btable) == g
+                    written += 1
+        assert written == 749  # of 1,985 matrices; the rest raise
 
     def test_by_pair_rejects_a_table_of_another_shape(self):
         # the table's layout would place the runs of another shape wrongly

@@ -25,6 +25,7 @@ RECORDS = [
     (next(EXPANSION.terms()), "origin"),
     (EXPANSION, "by_order"),
     (verify(*WORKED), "details"),
+    (build_B(WORKED[2], WORKED[3]), "columns"),
 ]
 
 

@@ -14,8 +14,9 @@ from conftest import (
     size,
 )
 import qstar
+import qstar.words
 from qstar.cubes import CubicalMatrix, enumerate_Q
-from qstar.tables import MarginMatrix
+from qstar.tables import MarginMatrix, depth_first
 from qstar.words import (
     ThreeWord,
     decode,
@@ -239,6 +240,41 @@ class TestEnumerateA:
                 got = enumerate_A(alpha, beta, n, m)
                 assert got == enumerate_A(alpha, beta, top, m)
                 assert got == unpruned_enumerate_A(alpha, beta, n, m)
+
+    def test_transpose_has_as_many_words(self):
+        # swapping rows 2 and 3 of each column, then sorting, maps
+        # A(alpha, beta, n, m) onto A(beta, alpha, n, m); the walk cuts on
+        # row-2 and on row-3 values owed, and must drop a word on neither
+        for alpha, beta, n, m in combinatorial_grid():
+            got = enumerate_A(alpha, beta, n, m)
+            back = enumerate_A(beta, alpha, n, m)
+            assert len(got) == len(back)
+            assert sorted(ThreeWord(tuple(sorted(
+                (s, j, i) for s, i, j in w.columns))) for w in got) == back
+
+    @pytest.mark.parametrize("alpha, beta, n", [
+        ((1,), (1,) * 12, 12), ((1,), (1,) * 8, 10), ((2,), (2,) * 6, 12),
+    ])
+    def test_wide_beta_walks_as_far_as_wide_alpha(self, monkeypatch, alpha,
+                                                  beta, n):
+        # a work count, not a time: the walk's nodes on a wide beta and on
+        # its transpose; a column cut that carried its sums wrongly, or
+        # none, walks several times as many on the wide beta
+        count = 0
+
+        def counted(node):
+            nonlocal count
+            count += 1
+            for child in node:
+                yield counted(child)
+
+        monkeypatch.setattr(qstar.words, "depth_first",
+                            lambda root: depth_first(counted(root)))
+        wide_beta = len(enumerate_A(alpha, beta, n, 0)), count
+        count = 0
+        wide_alpha = len(enumerate_A(beta, alpha, n, 0)), count
+        assert wide_beta[0] == wide_alpha[0]
+        assert wide_beta[1] <= 1.25 * wide_alpha[1]
 
     def test_depth_does_not_grow_with_m(self):
         # one column, so one node, however many levels lie below it
