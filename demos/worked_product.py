@@ -12,8 +12,8 @@ from qstar.algebra import (
     parse_monomial,
     render_monomial,
 )
-from qstar.cubes import enumerate_Q, to_vector
-from qstar.expansion import render, star_product
+from qstar.cubes import enumerate_Q, lift_all, to_vector
+from qstar.expansion import gamma_to_eterm, render, star_product
 from qstar.tables import enumerate_L
 
 alpha = (1, 1)
@@ -40,15 +40,23 @@ for gamma in classical:
 print()
 
 exp = star_product(alpha, beta, p, q, n)
+# the lift route pairs each contributing term with its cubical matrix; no
+# two terms tie, so sorting the pairs as the expansion sorts its terms
+# lists the matrices in the order of exp.order_slice(m)
+pairs = sorted(
+    ((gamma_to_eterm(g, table), g)
+     for g in lift_all(alpha, beta, n, exp.m_bound, table.k_max)),
+    key=lambda pair: (pair[0].slots, pair[0].scalar),
+)
 for m in range(exp.m_bound + 1):
     cubes = enumerate_Q(alpha, beta, n, m)
-    contributing = exp.order_slice(m)
+    contributing = [g for term, g in pairs if term.hbar == m]
     print(
         "order hbar^%d: %d cubical matrices, %d contribute"
         % (m, len(cubes), len(contributing))
     )
-    for term in contributing:
-        vec = to_vector(term.origin, levels=exp.s_bound + 1)
+    for gamma in contributing:
+        vec = to_vector(gamma, levels=exp.s_bound + 1)
         print("  %s" % (vec,))
 print()
 

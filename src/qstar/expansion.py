@@ -19,7 +19,6 @@ from .algebra import (
     BTable,
     Monomial2,
     ScaledMonomial,
-    _ReadOnly,
     build_B,
     render_monomial,
 )
@@ -37,48 +36,17 @@ def canonical_slots(slots) -> tuple:
     return tuple([(mult, mono) for _, mono, mult in keyed])
 
 
-class ETerm(_ReadOnly):
+class ETerm(NamedTuple):
     """scalar * e_(multiplicities)(monomials) * h^hbar.
 
-    slots holds ordered (multiplicity, Monomial2) pairs; origin, the matrix
-    the term came from, is left out of equality, hash and repr.  Pass the
-    matrix, or, as product_terms does, the shared (a, b, boundary runs) and
-    the picked pieces, whose last fields are their runs: origin then builds
-    the matrix on its first read and keeps it.
+    slots holds ordered (multiplicity, Monomial2) pairs.  A term keeps no
+    matrix: pair each capped matrix with its term through the lift route,
+    (gamma_to_eterm(g, btable), g) for g in lift_all(...).
     """
 
-    __slots__ = ("hbar", "scalar", "slots", "_origin", "_pick")
-
-    def __init__(self, hbar: int, scalar: int, slots: tuple, origin=None,
-                 pick=None):
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "_origin", origin)
-        object.__setattr__(self, "_pick", pick)
-
-    @property
-    def origin(self):
-        if self._pick is not None:
-            a, b, edge = self._origin
-            runs = edge + [run for piece in self._pick for run in piece[-1]]
-            object.__setattr__(self, "_origin", CubicalMatrix(a, b, runs))
-            object.__setattr__(self, "_pick", None)
-        return self._origin
-
-    def _key(self) -> tuple:
-        return self.hbar, self.scalar, self.slots
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "ETerm(hbar={!r}, scalar={!r}, slots={!r})".format(*self._key())
+    hbar: int
+    scalar: int
+    slots: tuple
 
     def multiplicities(self) -> tuple:
         return tuple(mult for mult, _ in self.slots)
@@ -130,7 +98,7 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
         scalar *= entry.coeff ** v
         slots.append((v, entry.mono))
         hbar += k * v
-    return ETerm(hbar, scalar, canonical_slots(slots), gamma)
+    return ETerm(hbar, scalar, canonical_slots(slots))
 
 
 def product_terms(alpha, beta, n, btable: BTable):
@@ -141,15 +109,12 @@ def product_terms(alpha, beta, n, btable: BTable):
     interior cells of gamma.cells(), of the multisets of gamma_ij levels.
     Each (i, j, units) table is built once per call: per multiset, in
     combinations_with_replacement order, its weight, its scalar (the
-    product of coeff ** v), its (degree, monomial, v, (v, monomial)) slot
-    triples and its runs.  The boundary cells of gamma.cells() give, at
-    level 0, runs and triples fixed per gamma, with coefficients 1, so a
-    term is a sum of weights, a product of scalars and one sort of the
-    joined triples, the order of canonical_slots, whose last fields are
-    its slots.  A term's origin is built from the boundary runs and its
-    picked pieces on first read.
+    product of coeff ** v) and its (degree, monomial, v, (v, monomial))
+    slot triples.  The boundary cells of gamma.cells() give, at level 0,
+    triples fixed per gamma, with coefficients 1, so a term is a sum of
+    weights, a product of scalars and one sort of the joined triples, the
+    order of canonical_slots, whose last fields are its slots.
     """
-    a, b = len(alpha), len(beta)
     entries = btable.entries
     last = itemgetter(-1)
 
@@ -165,25 +130,23 @@ def product_terms(alpha, beta, n, btable: BTable):
                 range(btable.k_max(i, j) + 1), units):
             runs = [(k, i, j, len(list(run))) for k, run in groupby(combo)]
             scalar = prod([entries[k, i, j].coeff ** v for k, _, _, v in runs])
-            out.append((sum(combo), scalar, [triple(*r) for r in runs], runs))
+            out.append((sum(combo), scalar, [triple(*r) for r in runs]))
         return out
 
     for gamma in enumerate_L(alpha, beta, n):
         cells = gamma.cells()
-        edge = [(0, i, j, v) for i, j, v in cells if not (i and j)]
-        fixed = [triple(*r) for r in edge]
-        base = a, b, edge
+        fixed = [triple(0, i, j, v) for i, j, v in cells if not (i and j)]
         pieces = [table(i, j, units) for i, j, units in cells if i and j]
         for pick in product(*pieces):
             hbar = 0
             scalar = 1
             triples = fixed.copy()
-            for w, s, t, _ in pick:
+            for w, s, t in pick:
                 hbar += w
                 scalar *= s
                 triples += t
             triples.sort()
-            yield ETerm(hbar, scalar, tuple(map(last, triples)), base, pick)
+            yield ETerm(hbar, scalar, tuple(map(last, triples)))
 
 
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
@@ -197,9 +160,10 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     level is at most K_ij <= S and the interior holds at most min(|alpha|,
     |beta|) units, so no matrix weighs more than M.  The lift path folds
     over the cells with lift_all up to M instead and assembles each
-    matrix's term with gamma_to_eterm.  So the paths check each other's
-    level placement and assembly, and words.enumerate_A at m = 0 checks
-    L.  Each h slice is sorted by (slots, scalar), which orders unequal
+    matrix's term with gamma_to_eterm, the route that pairs a term with
+    its matrix; no term keeps one.  So the paths check each other's level
+    placement and assembly, and words.enumerate_A at m = 0 checks L.
+    Each h slice is sorted by (slots, scalar), which orders unequal
     terms strictly, so the two paths give equal term lists exactly when
     they give the same multiset of terms, whatever order they come in,
     and render alike.
@@ -301,8 +265,8 @@ def render(expansion: StarExpansion, fmt: str = "text") -> str:
     through json; the terms are written directly at the same indentation,
     and tests/test_expansion.py holds the two byte-identical.  JSON
     "bounds.S" is the sharp contributing_support the expansion was
-    truncated at, not the paper's length-based max_support.  No origin is
-    read, and each distinct slot is written once per call.
+    truncated at, not the paper's length-based max_support.  Each distinct
+    slot is written once per call.
     """
     if fmt == "text":
         return _render_text(expansion)

@@ -4,9 +4,9 @@ import random
 from contextlib import contextmanager
 
 import qstar.oracle
-from qstar.algebra import Monomial2
-from qstar.cubes import CubicalMatrix, lift_all
-from qstar.expansion import ETerm
+from qstar.algebra import Monomial2, build_B
+from qstar.cubes import CubicalMatrix, contributing_support, lift_all, max_order
+from qstar.expansion import gamma_to_eterm
 
 # Multi-indices with up to two entries, each at most 2.
 MULTI_INDICES = [
@@ -43,13 +43,23 @@ def scalars_dropped(monkeypatch):
     original = qstar.oracle.term_orbits
 
     def dropped(terms, n):
-        return original(
-            (ETerm(t.hbar, 1, t.slots, t.origin) for t in terms), n
-        )
+        return original((t._replace(scalar=1) for t in terms), n)
 
     with monkeypatch.context() as patch:
         patch.setattr(qstar.oracle, "term_orbits", dropped)
         yield
+
+
+def lift_pairs(alpha, beta, p, q, n):
+    """(term, matrix) for every capped matrix over L, by the lift route.
+
+    The matrices and terms of star_product(..., path="lift"), each term
+    next to the matrix that gamma_to_eterm read it from.
+    """
+    btable = build_B(p, q)
+    m_bound = max_order(alpha, beta, n, contributing_support(p, q))
+    return [(gamma_to_eterm(g, btable), g)
+            for g in lift_all(alpha, beta, n, m_bound, btable.k_max)]
 
 
 def exact_lifts(alpha, beta, n, m, caps=None):

@@ -18,6 +18,7 @@ from conftest import (
     exact_lifts,
     interior_sum,
     interior_support_count,
+    lift_pairs,
     oracle_grid,
     size,
 )
@@ -104,9 +105,10 @@ def test_criterion_1_worked_example_structure():
 
     exp = star_product(alpha, beta, p, q, n)
     assert len(exp.order_slice(2)) == 3
-    h2_vectors = {
-        to_vector(t.origin, levels=pad) for t in exp.order_slice(2)
-    }
+    # the lift route pairs each term with its matrix
+    h2 = [(t, g) for t, g in lift_pairs(alpha, beta, p, q, n) if t.hbar == 2]
+    assert sorted(t for t, _ in h2) == sorted(exp.order_slice(2))
+    h2_vectors = {to_vector(g, levels=pad) for _, g in h2}
     assert h2_vectors == WORKED_H2_VECTORS
 
     # sum-of-supports counting and brute-force enumeration agree on 10
@@ -265,9 +267,13 @@ def test_criterion_4_combinatorial_propositions():
     exp = star_product(alpha, beta, p, q, n)
     rhs = moyal(expand_elementary(alpha, p, n), expand_elementary(beta, q, n))
     terms = list(exp.terms())
+    pairs = lift_pairs(alpha, beta, p, q, n)
+    if sorted(term for term, _ in pairs) != sorted(terms):
+        failures.append(("pinned spec: the routes' terms differ", alpha,
+                         beta, p, q, n))
     kept = [
-        term for term in terms
-        if term.origin.support_level() <= s_paper and term.hbar <= m_paper
+        term for term, g in pairs
+        if g.support_level() <= s_paper and term.hbar <= m_paper
     ]
     truncated = expand_terms(kept, n)
     full = expand_terms(terms, n)

@@ -7,7 +7,7 @@ import pytest
 
 import qstar.cubes
 import qstar.expansion
-from conftest import WORKED, oracle_grid, three_entry_grid, wide_margin_grid
+from conftest import WORKED, lift_pairs, oracle_grid, wide_margin_grid
 from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
 from qstar.cli import _unlimited_int_digits, main
 from qstar.cubes import CubicalMatrix, enumerate_Q
@@ -68,8 +68,7 @@ class TestGammaToETerm:
             (1, Monomial2(4, 2)),
             (1, Monomial2(5, 1)),
         )
-        # origin is carried but left out of equality, hash and repr
-        assert term.origin is gamma
+        # equality, hash and repr are those of the three fields
         bare = ETerm(1, 2, term.slots)
         assert term == bare and hash(term) == hash(bare)
         assert repr(term) == repr(bare) == (
@@ -77,7 +76,6 @@ class TestGammaToETerm:
             "(1, Monomial2(x=4, y=2)), (1, Monomial2(x=5, y=1))))"
         )
         assert term != ETerm(1, 3, term.slots)
-        assert term != (1, 2, term.slots)
 
     def test_classical_term_unit_scalar(self):
         btable = build_B(WORKED[2], WORKED[3])
@@ -131,10 +129,12 @@ class TestStarProduct:
         assert (exp.s_bound, exp.m_bound) == (1, 2)
 
     def test_path_equivalence(self):
+        K = 1000  # y^K * x^K: one cell with K = M
         for spec in [
             ((1,), (1,), (Y,), (X,), 2),
             ((1, 1), (1,), (Monomial2(1, 1), Y), (Monomial2(2, 1),), 3),
             WORKED,
+            ((1,), (1,), (Monomial2(0, K),), (Monomial2(K, 0),), 1),
         ]:
             a = star_product(*spec, path="enumerate")
             b = star_product(*spec, path="lift")
@@ -200,20 +200,6 @@ class TestStarProduct:
         assert list(exp.terms()) == list(
             star_product(*WORKED, path="lift").terms())
 
-    def test_enumerate_terms_match_their_origins(self):
-        # each enumerate-route term, assembled from per-cell pieces, is
-        # the term that gamma_to_eterm reads off its origin, at its weight
-        K = 1000
-        deep = ((1,), (1,), (Monomial2(0, K),), (Monomial2(K, 0),), 1)
-        for spec in chain(oracle_grid(), wide_margin_grid(),
-                          three_entry_grid(), [deep]):
-            btable = build_B(spec[2], spec[3])
-            for term in star_product(*spec).terms():
-                again = gamma_to_eterm(term.origin, btable)
-                assert (term.hbar, term.scalar, term.slots) == (
-                    again.hbar, again.scalar, again.slots), spec
-                assert term.origin.weight() == term.hbar, spec
-
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED
         exp = star_product(alpha, beta, p, q, n)
@@ -242,51 +228,6 @@ class TestStarProduct:
     def test_margin_error(self):
         with pytest.raises(ValueError):
             star_product((3,), (1,), (X,), (Y,), 2)
-
-
-class TestOrigin:
-    """The enumerate route builds each term's origin on its first read."""
-
-    STAR = ["star", "--alpha", "2,2", "--beta", "2,1", "--p", "x^2y,x^3y",
-            "--q", "x^3,x^2y^2", "--n", "5"]
-
-    def test_read_twice_is_one_matrix_equal_to_the_eager_one(self):
-        # the lift route builds every origin eagerly, from the same matrices
-        for spec in chain([WORKED], wide_margin_grid()):
-            eager = {}
-            for term in star_product(*spec, path="lift").terms():
-                eager.setdefault(term, []).append(term.origin)
-            for term in star_product(*spec).terms():
-                first = term.origin
-                assert type(first) is CubicalMatrix, spec
-                assert term.origin is first, spec
-                eager[term].remove(first)  # raises unless an equal is left
-            assert not any(eager.values()), spec
-
-    def test_default_star_builds_no_matrix(self, monkeypatch, capsys):
-        built = []
-
-        def counted(*args):
-            built.append(args)
-            return CubicalMatrix(*args)
-
-        monkeypatch.setattr(qstar.expansion, "CubicalMatrix", counted)
-        for fmt in ("text", "json"):
-            assert main([*self.STAR, "--format", fmt]) == 0
-        assert capsys.readouterr().err == ""
-        assert built == []
-        # the counter sees a build: the first read of an origin
-        term = next(star_product(*WORKED).terms())
-        assert term.origin == CubicalMatrix(*built[0])
-        assert len(built) == 1
-
-    def test_equality_hash_and_repr_ignore_it(self):
-        for term in star_product(*WORKED).terms():
-            bare = ETerm(term.hbar, term.scalar, term.slots)
-            for _ in range(2):  # before the first read and after it
-                assert term == bare and hash(term) == hash(bare)
-                assert repr(term) == repr(bare)
-                assert term.origin is not None
 
 
 def times(f, g, n, star=star_product):
@@ -335,17 +276,15 @@ def associativity_grid():
 def powers_dropped(alpha, beta, p, q, n):
     """star_product with each piece scalar a product of coeff, not coeff ** v.
 
-    Read off each term's origin: a scalar is the product of its runs'
-    coefficients, the boundary's being 1.
+    Read off each term's matrix on the lift route: a scalar is the product
+    of its runs' coefficients, the boundary's being 1.
     """
-    exp = star_product(alpha, beta, p, q, n)
     entries = build_B(p, q).entries
-    return exp._replace(by_order={
-        hbar: [ETerm(t.hbar, prod([entries[r[:3]].coeff
-                                   for r in t.origin.entries]), t.slots)
-               for t in terms]
-        for hbar, terms in exp.by_order.items()
-    })
+    by_order = {}
+    for t, gamma in lift_pairs(alpha, beta, p, q, n):
+        scalar = prod([entries[r[:3]].coeff for r in gamma.entries])
+        by_order.setdefault(t.hbar, []).append(t._replace(scalar=scalar))
+    return star_product(alpha, beta, p, q, n)._replace(by_order=by_order)
 
 
 class TestAssociativity:

@@ -22,7 +22,7 @@ RECORDS = [
     (CubicalMatrix(1, 1, ((0, 0, 1, 1),)), "entries"),
     (ThreeWord(((0, 1, 2),)), "columns"),
     (next(EXPANSION.terms()), "scalar"),
-    (next(EXPANSION.terms()), "origin"),
+    (next(EXPANSION.terms()), "slots"),
     (EXPANSION, "by_order"),
     (verify(*WORKED), "details"),
     (build_B(WORKED[2], WORKED[3]), "columns"),
@@ -53,6 +53,10 @@ def _shuffled(items):
     (enumerate_L((1, 1), (2, 1), 4) + enumerate_L((1,), (2,), 3), ("rows",)),
     (enumerate_A((1, 1), (2, 1), 4, 1) + enumerate_A((1,), (1,), 2, 2),
      ("columns",)),
+    ([*EXPANSION.terms(), *star_product(
+        (1, 1), (1,), (Monomial2(1, 1), Monomial2(0, 1)), (Monomial2(2, 1),),
+        3).terms()],
+     ("hbar", "scalar", "slots")),
 ])
 def test_sort_is_field_order(records, fields):
     def key(record):

@@ -8,13 +8,14 @@ from conftest import (
     exact_lifts,
     from_margin,
     interior_support_count,
+    lift_pairs,
     row_margin,
     total,
 )
 
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import CubicalMatrix, enumerate_Q
-from qstar.expansion import ETerm, star_product
+from qstar.expansion import ETerm, gamma_to_eterm, star_product
 from qstar.oracle import expand_elementary, expand_terms
 from qstar.tables import MarginMatrix, classical_product, enumerate_L
 
@@ -225,14 +226,22 @@ def cap_monomials(a, b):
 
 
 def route_stacks(alpha, beta, p, q, n):
-    """The term origins of the enumerate route of the star product, sorted."""
-    return sorted(t.origin for t in star_product(alpha, beta, p, q, n).terms())
+    """The lift route's matrices and the enumerate route's terms, sorted."""
+    return (sorted(g for _, g in lift_pairs(alpha, beta, p, q, n)),
+            sorted(star_product(alpha, beta, p, q, n).terms()))
+
+
+def stacks_and_terms(stacks, p, q):
+    """The reference's matrices, sorted, and gamma_to_eterm's terms of them."""
+    btable = build_B(p, q)
+    return stacks, sorted(gamma_to_eterm(g, btable) for g in stacks)
 
 
 class TestLevelStacks:
     # the walk order differs from the reference's, so multisets are
-    # compared.  Not exact: the enumerate route's term origins, every
-    # stack with levels up to K_ij and no weight bound; exact: the lifts
+    # compared.  Not exact: every stack with levels up to K_ij and no
+    # weight bound, the lift route's matrices, and the enumerate route's
+    # terms against those of the reference's matrices; exact: the lifts
     # of weight exactly m, the slice of the fold that enumerate_Q keeps.
     @pytest.mark.parametrize("exact", [False, True])
     def test_matches_reference_walk(self, exact):
@@ -244,7 +253,8 @@ class TestLevelStacks:
                 for p, q in cap_monomials(len(alpha), len(beta)):
                     caps = build_B(p, q).k_max
                     assert route_stacks(alpha, beta, p, q, n) == (
-                        reference_stacks(alpha, beta, n, caps)
+                        stacks_and_terms(
+                            reference_stacks(alpha, beta, n, caps), p, q)
                     ), (alpha, beta, p, q, n)
                 continue
             for caps in cap_rules:
@@ -265,10 +275,12 @@ class TestLevelStacks:
     ):
         args = ((units,), (units,), units + 1, lambda i, j: top,
                 top if exact else None)
+        stacks = reference_stacks(*args)
         if exact:  # every cap is top = m
             got = sorted(enumerate_Q(*args[:3], top))
+            assert got == stacks
         else:  # y^top * x^top: one cell with K = top
-            got = route_stacks(*args[:2], (Monomial2(0, top),),
-                               (Monomial2(top, 0),), args[2])
-        assert got == reference_stacks(*args)
+            p, q = (Monomial2(0, top),), (Monomial2(top, 0),)
+            got, terms = route_stacks(*args[:2], p, q, args[2])
+            assert (got, terms) == stacks_and_terms(stacks, p, q)
         assert len(got) == (exact_count if exact else count)
