@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import chain
 from math import prod
 
@@ -7,7 +8,13 @@ import pytest
 
 import qstar.cubes
 import qstar.expansion
-from conftest import WORKED, lift_pairs, oracle_grid, wide_margin_grid
+from conftest import (
+    WORKED,
+    lift_pairs,
+    oracle_grid,
+    three_entry_grid,
+    wide_margin_grid,
+)
 from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
 from qstar.cli import _unlimited_int_digits, main
 from qstar.cubes import CubicalMatrix, enumerate_Q
@@ -199,6 +206,20 @@ class TestStarProduct:
         monkeypatch.undo()
         assert list(exp.terms()) == list(
             star_product(*WORKED, path="lift").terms())
+
+    def test_enumerate_terms_match_their_origins(self):
+        # the enumerate-route terms, assembled from per-cell pieces, are
+        # the terms that gamma_to_eterm reads off the lift route's
+        # matrices, each at its matrix's weight
+        K = 1000
+        deep = ((1,), (1,), (Monomial2(0, K),), (Monomial2(K, 0),), 1)
+        for spec in chain(oracle_grid(), wide_margin_grid(),
+                          three_entry_grid(), [deep]):
+            pairs = [(t, g) for t, g in lift_pairs(*spec) if t is not None]
+            for term, gamma in pairs:
+                assert gamma.weight() == term.hbar, spec
+            assert Counter(star_product(*spec).terms()) == Counter(
+                term for term, _ in pairs), spec
 
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED
