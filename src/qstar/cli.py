@@ -6,8 +6,9 @@ Subcommands: star (full expansion), enum (L / Q / A listings), word
 error (any other exception, reported as one "error: internal:" line), 141
 (128 + SIGPIPE, silently) when the output's reader leaves early, as in
 `qstar ... | head`.  All output is deterministic for fixed inputs.  Only
-verify loads the oracle.  A process builds the argument parser once and
-reuses it for every main() call.
+verify loads the oracle.  A process builds the argument parser once; each
+main() call parses argv once, with its command's parser.  The top-level
+parser answers only for argv with no known command or arguments left over.
 """
 
 from __future__ import annotations
@@ -274,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact star products of elementary multisymmetric functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, filled below
 
     p_star = sub.add_parser("star", help="compute a star product expansion")
     _add_spec_args(p_star)
@@ -321,16 +323,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Same as _parser().parse_args(argv); a valid call is parsed once."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)  # its usage errors, word for word
+
+
 def main(argv=None) -> int:
     """Run one qstar command; return its exit code.
 
-    Every call in a process reuses one parser, built on the first call.
-    Its set_defaults(func=...) binds the cmd_* functions at that moment,
-    so rebinding a cmd_* attribute later does not reach main, while the
-    functions the cmd_* call are still looked up at call time.  Usage
-    errors leave through argparse's SystemExit(2).
+    Every call in a process reuses one parser, built on the first call,
+    and parses argv once, with its command's parser (see _parse).  Its
+    set_defaults(func=...) binds the cmd_* functions at that moment, so
+    rebinding a cmd_* attribute later does not reach main, while the cmd_*
+    look their callees up at call time.  Usage errors leave through
+    argparse's SystemExit(2).
     """
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

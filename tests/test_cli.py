@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -677,6 +678,27 @@ class TestParser:
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0, 2, 0]
 
+    @pytest.mark.parametrize("argv", [
+        ["star", *WORKED_FLAGS],
+        ["enum", "Q", "--alpha", "1,1", "--beta", "1,1", "--n", "2",
+         "--m", "0"],
+        ["word", "stats", "(0,2,2)"],
+        ["verify", *WORKED_FLAGS],
+    ], ids=["star", "enum", "word", "verify"])
+    def test_a_valid_call_parses_once(self, capsys, monkeypatch, argv):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "parse_known_args", counted)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert calls == [f"qstar {argv[0]}"]
+
 
 class TestAsciiIntegers:
     """Integers are ASCII digits: int() also reads "1_0" and "\u0661"."""
@@ -854,3 +876,69 @@ class TestProperty:
             else:
                 assert err.startswith("error: ")
                 assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def parse_outcome(parse, argv):
+    """The Namespace's vars, or the SystemExit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+ENUM_L = ["enum", "L", "--alpha", "1", "--beta", "1", "--n", "1"]
+STAR = ["star", "--alpha", "1", "--beta", "1", "--n", "1", "--p", "y",
+        "--q", "x"]
+# argvs where the top-level parser must answer, or where argparse's
+# handling of "--", abbreviations and option order differs between versions
+PARSE_EDGES = [
+    [], ["-h"], ["--help"], ["star", "-h"], ["enum", "L", "--help"],
+    ["word", "-h", "bogus"], ["-h", "star"], ["bogus"], ["Star"], ["st"],
+    ["star"], ["enum"], ["--threads", "2", "word", "stats", "(0,2,2)"],
+    ["word", "stats", "(0,2,2)", "--threads", "2"],
+    ["enum", "L", "--alp", "1", "--bet", "1", "--n", "1"],
+    [*ENUM_L, "--c"], [*ENUM_L, "--co"], [*ENUM_L, "--l", "2"],
+    ["star", "--alpha=1", "--beta=1", "--n=1", "--p=y", "--q=x"],
+    ["enum", "L", "--alpha=1", "--beta", "1", "--n=1", "--count-only"],
+    [*STAR, "--pa", "lift"], [*STAR, "--path=both", "--format=json"],
+    [*STAR, "extra"], ["word", "stats", "(0,2,2)", "extra"],
+    [*ENUM_L, "L"], [*ENUM_L, "--bogus"], [*ENUM_L, "--bogus=3"],
+    [*ENUM_L, "-x"], [*STAR, "--output"], [*ENUM_L, "--count-only=1"],
+    ["--", "word", "stats", "(0,2,2)"], ["word", "--", "stats", "(0,2,2)"],
+    ["word", "stats", "--", "(0,2,2)"], ["word", "stats", "(0,2,2)", "--"],
+    ["word", "stats", "(0,2,2)", "--", "--shape"], [*ENUM_L, "--"],
+    [*ENUM_L, "--", "--m", "1"], ["enum", "--", "L", *ENUM_L[2:]],
+    ["enum", "--alpha", "1", "--beta", "1", "--n", "1", "L"],
+    ["enum", "--alpha", "1", "L", "--beta", "1", "--n", "1"],
+    ["enum", "L", "--alpha", "1", "--beta", "1", "--n", "-1"],
+    ["word", "encode", "-1", "--shape", "1,1"],
+    ["word", "encode", "--shape", "1,1", "--", "-1"],
+    ["enum", "L", "--alpha", "1", "--beta", "1", "--n"],
+    ["word", "decode", "(0,1,1)", "--shape"],
+    ["enum", "X", *ENUM_L[2:]], [*STAR, "--format", "xml"],
+    ["word", "spell", "(0,2,2)"],
+    ["enum", "L", "--alpha", "1", "--alpha", "2", "--beta", "1", "--n", "1",
+     "--n", "2"],
+    [*STAR, "--path", "lift", "--path", "both"],
+]
+
+
+class TestParseOnce:
+    """cli._parse answers as one fresh parser's parse_args would."""
+
+    @staticmethod
+    def check(argv):
+        assert (parse_outcome(cli._parse, argv)
+                == parse_outcome(cli.build_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("argv", PARSE_EDGES, ids=lambda argv: " ".join(argv) or "none")
+    def test_edges(self, argv):
+        self.check(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_drawn(self, argv):
+        self.check(argv)
+
