@@ -42,7 +42,7 @@ print()
 exp = star_product(alpha, beta, p, q, n)
 # the lift route pairs each contributing term with its cubical matrix; no
 # two terms tie, so sorting the pairs as the expansion sorts its terms
-# lists the matrices in the order of exp.order_slice(m)
+# lists the matrices in the order of exp.by_order[m]
 pairs = sorted(
     ((gamma_to_eterm(g, table), g)
      for g in lift_all(alpha, beta, n, exp.m_bound, table.k_max)),

@@ -51,9 +51,6 @@ class ScaledMonomial(NamedTuple("_Scaled", [("coeff", int),
         # zero terms compare equal regardless of the carried monomial
         return super().__new__(cls, coeff, mono if coeff else Monomial2())
 
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
 
 def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
     """All h-graded terms of the monomial star product p * q.
@@ -73,18 +70,7 @@ def star_pair(p: Monomial2, q: Monomial2) -> list[tuple[int, ScaledMonomial]]:
     return out
 
 
-class _ReadOnly:
-    """Base of the __slots__ records: __init__ sets each field once."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-
-class BTable(_ReadOnly):
+class BTable(NamedTuple):
     """The flattened argument table B(p, q), keyed by cubical place.
 
     entries maps each place (k, i, j) of a cubical matrix, indexed as in
@@ -94,21 +80,14 @@ class BTable(_ReadOnly):
     k <= K_ij, so an interior place missing from the map lies above K_ij.
     Its flat order, the by-pair vector layout, is p's, q's, then the pairs
     (i, j) row-major with k innermost; columns maps each place to its index.
+    Equal p and q give equal tables; holding dicts, a table is unhashable.
+    len() is l(B), so _make and _replace (which check len()) do not apply.
     """
 
-    __slots__ = ("p_args", "q_args", "entries", "_columns")
-
-    def __init__(self, p_args: tuple, q_args: tuple, entries: dict):
-        object.__setattr__(self, "p_args", p_args)
-        object.__setattr__(self, "q_args", q_args)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def columns(self) -> dict:
-        if not hasattr(self, "_columns"):  # the slot is unset until then
-            object.__setattr__(self, "_columns", {
-                place: col for col, place in enumerate(self.entries)})
-        return self._columns
+    p_args: tuple
+    q_args: tuple
+    entries: dict
+    columns: dict
 
     @property
     def a(self) -> int:
@@ -141,7 +120,8 @@ def build_B(p, q) -> BTable:
         for j, qj in enumerate(q, start=1):
             for k, term in star_pair(pi, qj):
                 entries[k, i, j] = term
-    return BTable(p, q, entries)
+    columns = {place: col for col, place in enumerate(entries)}
+    return BTable(p, q, entries, columns)
 
 
 class MonomialSyntaxError(ValueError):

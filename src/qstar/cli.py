@@ -2,13 +2,14 @@
 
 Subcommands: star (full expansion), enum (L / Q / A listings), word
 (3-word codec) and verify (oracle cross-check).  Exit codes: 0 ok,
-1 verification failure, 2 input error, 3 internal path mismatch, 4 internal
-error (any other exception, reported as one "error: internal:" line), 141
-(128 + SIGPIPE, silently) when the output's reader leaves early, as in
-`qstar ... | head`.  All output is deterministic for fixed inputs.  Only
-verify loads the oracle.  A process builds the argument parser once; each
-main() call parses argv once, with its command's parser.  The top-level
-parser answers only for argv with no known command or arguments left over.
+1 verification failure, 2 input error (an oversized number included),
+3 internal path mismatch, 4 internal error (any other exception, reported
+as one "error: internal:" line), 141 (128 + SIGPIPE, silently) when the
+output's reader leaves early, as in `qstar ... | head`.  All output is
+deterministic for fixed inputs.  Only verify loads the oracle.  A process
+builds the argument parser once; each main() call parses argv once, with
+its command's parser.  The top-level parser answers only for argv with no
+known command or arguments left over.
 """
 
 from __future__ import annotations
@@ -353,7 +354,8 @@ def main(argv=None) -> int:
         if not args.output:  # fd 1 to devnull: the exit flush writes nothing
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ValueError, OSError) as exc:
+    # no float arithmetic: an OverflowError is a size read from the input
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, not of its input

@@ -72,9 +72,6 @@ class StarExpansion(NamedTuple):
     def term_counts(self) -> dict:
         return {m: len(ts) for m, ts in sorted(self.by_order.items())}
 
-    def order_slice(self, m: int) -> list:
-        return list(self.by_order.get(m, ()))
-
 
 def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
     """One symbolic term per matrix, or None when the term vanishes.

@@ -27,10 +27,6 @@ class MarginMatrix(NamedTuple):
     def b(self) -> int:
         return len(self.rows[0]) - 1
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
     def cells(self) -> list:
         """The two-line array: the nonzero (i, j, v), row-major.
 

@@ -104,17 +104,17 @@ def test_criterion_1_worked_example_structure():
     assert vectors == WORKED_H0_VECTORS
 
     exp = star_product(alpha, beta, p, q, n)
-    assert len(exp.order_slice(2)) == 3
+    assert len(exp.by_order.get(2, [])) == 3
     # the lift route pairs each term with its matrix
     h2 = [(t, g) for t, g in lift_pairs(alpha, beta, p, q, n) if t.hbar == 2]
-    assert sorted(t for t, _ in h2) == sorted(exp.order_slice(2))
+    assert sorted(t for t, _ in h2) == sorted(exp.by_order.get(2, []))
     h2_vectors = {to_vector(g, levels=pad) for _, g in h2}
     assert h2_vectors == WORKED_H2_VECTORS
 
     # sum-of-supports counting and brute-force enumeration agree on 10
     # terms at order 1
-    assert len(exp.order_slice(1)) == 10
-    assert len(exp.order_slice(1)) == sum(
+    assert len(exp.by_order.get(1, [])) == 10
+    assert len(exp.by_order.get(1, [])) == sum(
         interior_support_count(g) for g in enumerate_L(alpha, beta, n)
     )
 
@@ -160,10 +160,10 @@ def test_criterion_3_classical_limit():
         classical = classical_product(alpha, p, beta, q, n)
         # symbolic: canonical multisets of terms
         assert sorted(
-            (t.scalar, t.slots) for t in exp.order_slice(0)
+            (t.scalar, t.slots) for t in exp.by_order.get(0, [])
         ) == sorted((t.scalar, t.slots) for t in classical)
         # expanded: exact polynomial equality
-        assert expand_terms(exp.order_slice(0), n) == expand_terms(
+        assert expand_terms(exp.by_order.get(0, []), n) == expand_terms(
             classical, n
         )
         checked += 1

@@ -77,7 +77,7 @@ class TestParse:
         assert ScaledMonomial(0, M(2, 3)) == ScaledMonomial(0)
         assert ScaledMonomial(0, M(2, 3)).mono == Monomial2()
         assert parse_monomial("0x^2y^3") == ScaledMonomial(0)
-        assert parse_monomial("0x^2y^3").is_zero()
+        assert parse_monomial("0x^2y^3").coeff == 0
 
     def test_empty_is_error(self):
         with pytest.raises(MonomialSyntaxError):
@@ -195,6 +195,16 @@ class TestBuildB:
         for i in range(1, 3):
             for j in range(1, 3):
                 assert table.entries[(0, i, j)].coeff == 1
+
+    def test_value_record(self):
+        p, q = (M(2, 1), M(0, 2)), (M(1, 1), M(3, 0))
+        table = build_B(p, q)
+        assert table == build_B(list(p), list(q))
+        assert table != build_B(q, p)
+        assert list(table.columns) == list(table.entries)
+        assert list(table.columns.values()) == list(range(len(table)))
+        with pytest.raises(TypeError):
+            hash(table)
 
 
 class TestBLength:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,10 @@ from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
 
 SRC = Path(cli.__file__).resolve().parent.parent
+README = SRC.parent / "README.md"
 # the line enum prints too: the library checks the margins, once
 MARGIN_ERROR = "error: margins exceed n: |alpha|=3, |beta|=1, n=2\n"
+BIG = "99999999999999999999"
 WORKED_FLAGS = [
     "--alpha", "1,1", "--beta", "2,1",
     "--p", "x^2y,x^3y", "--q", "x^3,x^2y^2", "--n", "4",
@@ -38,6 +41,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """Each qstar line of README's CLI block that elides nothing, as argv."""
+    block = README.read_text().split("## CLI\n\n```sh\n")[1].split("```")[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()
+            if line.startswith("qstar ") and "..." not in line]
 
 
 class TestStar:
@@ -573,6 +584,17 @@ class TestLongMargins:
             0, count + "\n", "")
 
 
+class TestReadme:
+    def test_examples_found(self):
+        assert len(readme_examples()) == 8
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_example_runs(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestInternalError:
     def test_any_fault_exits_4(self, capsys, monkeypatch):
         def broken(*args):
@@ -593,6 +615,19 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exc:
             main(["enum", "L", "--alpha", "1"])
         assert exc.value.code == 2
+
+    # each at least 2**63, so it fails before anything is allocated
+    @pytest.mark.parametrize("argv", [
+        ["enum", "Q", "--alpha", "1", "--beta", "1", "--n", "1", "--m", "0",
+         "--levels", BIG],
+        ["word", "decode", f"(0,{BIG},2)"],
+        ["word", "decode", f"({BIG},2,2)"],
+        ["word", "stats", f"(0,2,{BIG})"],
+    ], ids=["enum-levels", "decode-row", "decode-level", "stats-column"])
+    def test_oversized_number_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def fresh(code, *args):

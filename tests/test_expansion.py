@@ -226,7 +226,7 @@ class TestStarProduct:
         exp = star_product(alpha, beta, p, q, n)
         classical = classical_product(alpha, p, beta, q, n)
         assert sorted(
-            (t.scalar, t.slots) for t in exp.order_slice(0)
+            (t.scalar, t.slots) for t in exp.by_order.get(0, [])
         ) == sorted((t.scalar, t.slots) for t in classical)
 
     def test_truncation_soundness(self):

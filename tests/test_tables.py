@@ -38,7 +38,7 @@ def brute_force_L(alpha, beta, n):
     found = set()
     for rows in itertools.product(rows_at_most_n, repeat=a + 1):
         g = MarginMatrix(rows)
-        if g[0, 0] != 0 or total(g) > n:
+        if g.rows[0][0] != 0 or total(g) > n:
             continue
         if any(row_margin(g, i) != alpha[i - 1] for i in range(1, a + 1)):
             continue
@@ -65,7 +65,7 @@ class TestEnumerateL:
 
     def test_defining_conditions(self):
         for g in enumerate_L((1, 2), (2, 1), 4):
-            assert g[0, 0] == 0
+            assert g.rows[0][0] == 0
             assert total(g) <= 4
             assert (row_margin(g, 1), row_margin(g, 2)) == (1, 2)
             assert (col_margin(g, 1), col_margin(g, 2)) == (2, 1)
@@ -90,9 +90,9 @@ class TestCells:
             for g in enumerate_L(alpha, beta, n):
                 cells = g.cells()
                 assert cells == [
-                    (i, j, g[i, j])
+                    (i, j, g.rows[i][j])
                     for i in range(g.a + 1) for j in range(g.b + 1)
-                    if g[i, j]
+                    if g.rows[i][j]
                 ]
                 rows = [[0] * (g.b + 1) for _ in range(g.a + 1)]
                 for i, j, v in cells:
