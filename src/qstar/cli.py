@@ -7,15 +7,17 @@ Subcommands: star (full expansion), enum (L / Q / A listings), word
 as one "error: internal:" line), 141 (128 + SIGPIPE, silently) when the
 output's reader leaves early, as in `qstar ... | head`.  All output is
 deterministic for fixed inputs.  Only verify loads the oracle.  A process
-builds the argument parser once; each main() call parses argv once, with
-its command's parser.  The top-level parser answers only for argv with no
-known command or arguments left over.
+builds the argument parser once.  A well-formed argv is parsed from a
+per-command table of that parser's actions; argparse answers everything
+else, so help and usage errors are argparse's own.  main() pauses the
+cyclic GC for one command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -324,30 +326,109 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _table() -> dict:
+    """Per command: (options, positionals, required, defaults).
+
+    options maps each option string but -h/--help to its action; required
+    holds the dests of the required options; defaults holds what parse_args
+    sets when nothing is given, command and func included.  A command with
+    an action of another nargs, or with a str default that its type would
+    convert, has no entry: argparse answers for it.
+    """
+    table = {}
+    for name, sub in _parser().commands.items():
+        # _actions: where every argparse since 2.7 lists a parser's actions;
+        # a SUPPRESS default (-h/--help) sends its options to argparse
+        actions = [a for a in sub._actions
+                   if a.default is not argparse.SUPPRESS]
+        if any(a.nargs not in (None, 0)
+               or a.type and isinstance(a.default, str) for a in actions):
+            continue
+        table[name] = (
+            {s: a for a in actions for s in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            {a.dest for a in actions if a.required and a.option_strings},
+            {a.dest: a.default for a in actions}
+            | {"command": name, "func": sub.get_default("func")},
+        )
+    return table
+
+
+def _value(action, token: str):
+    """token converted by action's type and checked against its choices."""
+    value = action.type(token) if action.type else token
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{token!r} is not a choice")
+    return value
+
+
+def _from_table(argv) -> argparse.Namespace | None:
+    """parse_args's Namespace for a well-formed argv, else None.
+
+    Well-formed: a known command, then only its exact option strings, each
+    value-taking one followed by a value that is not empty, does not start
+    with "-" and converts to one of its choices; exactly its positionals,
+    each a choice; every required option.  A repeated option keeps its last
+    value, as argparse does.
+    """
+    entry = _table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, required, defaults = entry
+    given, tokens, rest = {}, iter(argv[1:]), []
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                rest.append(token)
+            elif (action := options.get(token)) is None:
+                return None
+            elif action.nargs == 0:
+                given[action.dest] = action.const
+            elif (value := next(tokens, ""))[:1] in ("", "-"):
+                return None
+            else:
+                given[action.dest] = _value(action, value)
+        if len(rest) != len(positionals) or not required.issubset(given):
+            return None
+        for action, token in zip(positionals, rest):
+            given[action.dest] = _value(action, token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None  # the errors argparse turns into usage errors
+    return argparse.Namespace(**(defaults | given))
+
+
 def _parse(argv) -> argparse.Namespace:
-    """Same as _parser().parse_args(argv); a valid call is parsed once."""
+    """Same as _parser().parse_args(argv): from the table for a well-formed
+    argv, else from argparse, help and usage errors word for word."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)  # its usage errors, word for word
+    args = _from_table(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run one qstar command; return its exit code.
 
     Every call in a process reuses one parser, built on the first call,
-    and parses argv once, with its command's parser (see _parse).  Its
+    and the table made from its actions (see _parse).  Its
     set_defaults(func=...) binds the cmd_* functions at that moment, so
     rebinding a cmd_* attribute later does not reach main, while the cmd_*
     look their callees up at call time.  Usage errors leave through
-    argparse's SystemExit(2).
+    argparse's SystemExit(2).  The cyclic GC is paused for the parse and
+    the command and then set back as the caller had it; nothing calls
+    gc.collect(), which costs short commands more than it frees.
     """
-    args = _parse(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(_parse(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args) -> int:
+    """args.func(args), its exceptions mapped to exit codes."""
     try:
         return args.func(args)
     except BrokenPipeError:

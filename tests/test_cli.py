@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -713,14 +714,18 @@ class TestParser:
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0, 2, 0]
 
-    @pytest.mark.parametrize("argv", [
-        ["star", *WORKED_FLAGS],
-        ["enum", "Q", "--alpha", "1,1", "--beta", "1,1", "--n", "2",
-         "--m", "0"],
-        ["word", "stats", "(0,2,2)"],
-        ["verify", *WORKED_FLAGS],
-    ], ids=["star", "enum", "word", "verify"])
-    def test_a_valid_call_parses_once(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, parsers", [
+        (["star", *WORKED_FLAGS], []),
+        (["enum", "Q", "--alpha", "1,1", "--beta", "1,1", "--n", "2",
+          "--m", "0"], []),
+        (["word", "stats", "(0,2,2)"], []),
+        (["verify", *WORKED_FLAGS], []),
+        (["star", "--alpha=1,1", *WORKED_FLAGS[2:]], ["qstar"]),
+    ], ids=["star", "enum", "word", "verify", "alpha="])
+    def test_a_valid_call_parses_once(self, capsys, monkeypatch, argv,
+                                      parsers):
+        # the table answers a well-formed argv; argparse, from the top
+        # level, one outside the table's subset such as --alpha=1,1
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -728,11 +733,55 @@ class TestParser:
             calls.append(self.prog)
             return parse_known_args(self, *args, **kwargs)
 
+        expected = vars(cli.build_parser().parse_args(argv))
         monkeypatch.setattr(
             argparse.ArgumentParser, "parse_known_args", counted)
+        assert vars(cli._parse(argv)) == expected
+        assert calls[:1] == parsers
+        calls.clear()
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        assert calls == [f"qstar {argv[0]}"]
+        assert calls[:1] == parsers
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The caller's cyclic GC on or off for one test, then as it was."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestGcPause:
+    """main runs a command with the cyclic GC paused, then gives the
+    caller's setting back, however the command ends."""
+
+    @pytest.mark.parametrize("raised, code", [
+        (None, 0), (ValueError("bad"), 2), (RuntimeError("bug"), 4),
+        (BrokenPipeError(), 141),
+    ], ids=["ok", "input-error", "internal", "pipe"])
+    def test_setting_restored(self, capsys, monkeypatch, tmp_path,
+                              caller_gc, raised, code):
+        seen = []
+        render = cli.expansion.render
+
+        def observed(*args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return render(*args)
+
+        monkeypatch.setattr(cli.expansion, "render", observed)
+        # --output: a BrokenPipeError leaves fd 1 alone
+        assert run(capsys, "star", *WORKED_FLAGS, "--output",
+                   str(tmp_path / "out"))[0] == code
+        assert (seen, gc.isenabled()) == ([False], caller_gc)
+
+    def test_setting_restored_after_usage_error(self, capsys, caller_gc):
+        with pytest.raises(SystemExit) as exc:
+            main(["star", "--alpha", "1"])
+        assert (exc.value.code, gc.isenabled()) == (2, caller_gc)
 
 
 class TestAsciiIntegers:
@@ -957,6 +1006,15 @@ PARSE_EDGES = [
     ["enum", "L", "--alpha", "1", "--alpha", "2", "--beta", "1", "--n", "1",
      "--n", "2"],
     [*STAR, "--path", "lift", "--path", "both"],
+    # the boundary of cli._from_table's subset: values led by "-" or empty,
+    # a lone "-", a bad value then a good one, repeats, non-ASCII digits
+    [*STAR, "--p", "-x"], [*STAR, "--p", "-x y"], [*STAR, "--alpha", ""],
+    ["enum", "Q", *ENUM_L[2:], "--m", "0", "--levels", "-1"],
+    ["word", "stats", "-"],
+    ["enum", "L", "--alpha", "1", "--beta", "1", "--n", "x", "--n", "1"],
+    [*STAR, "--format", "json", "--format", "xml"],
+    [*ENUM_L, "--count-only", "--count-only"],
+    ["enum", "L", "--alpha", "1", "--beta", "1", "--n", "\u0661"],
 ]
 
 
@@ -977,3 +1035,24 @@ class TestParseOnce:
     def test_drawn(self, argv):
         self.check(argv)
 
+
+class TestTablePath:
+    def test_benchmark_ops_take_the_table_path(self, monkeypatch):
+        # every op argv of the benchmark's declared workloads, seeds 1-3
+        root = SRC.parent
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        import workloads
+
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        argvs = [list(op.argv) for w in spec["workloads"]
+                 for seed in (1, 2, 3)
+                 for op in workloads.generate(w["name"], seed)]
+        parser = cli.build_parser()
+        expected = [vars(parser.parse_args(argv)) for argv in argvs]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("argparse was called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            refused)
+        assert [vars(cli._parse(argv)) for argv in argvs] == expected
