@@ -28,7 +28,7 @@ print("  e_%s of %s" % (beta, [render_monomial(ScaledMonomial(1, m)) for m in q]
 print()
 
 table = build_B(p, q)
-print("B(p,q), %d flat entries:" % len(table))
+print("B(p,q), %d flat entries:" % len(table.entries))
 for entry in table.entries.values():
     print("  %s" % render_monomial(entry))
 print()

@@ -81,7 +81,7 @@ class BTable(NamedTuple):
     Its flat order, the by-pair vector layout, is p's, q's, then the pairs
     (i, j) row-major with k innermost; columns maps each place to its index.
     Equal p and q give equal tables; holding dicts, a table is unhashable.
-    len() is l(B), so _make and _replace (which check len()) do not apply.
+    l(B), the flat length, is len(entries).
     """
 
     p_args: tuple
@@ -100,9 +100,6 @@ class BTable(NamedTuple):
     def k_max(self, i: int, j: int) -> int:
         """Highest h-grade K_ij with a nonzero entry for the pair (i, j)."""
         return min(self.p_args[i - 1].y, self.q_args[j - 1].x)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_B(p, q) -> BTable:

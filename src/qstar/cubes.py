@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations_with_replacement, groupby
-from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import build_B
 from .tables import MarginMatrix, _check_margins, enumerate_L
 
 
@@ -44,16 +42,6 @@ class CubicalMatrix(NamedTuple("_Cubical", [("a", int), ("b", int),
             raise ValueError("shape entries must be positive")
         runs = tuple(sorted(filter(itemgetter(3), entries)))
         return super().__new__(cls, a, b, runs)
-
-    @classmethod
-    def from_levels(cls, levels) -> CubicalMatrix:
-        """The matrix with dense levels Gamma^0..Gamma^s (row tuples)."""
-        return cls(len(levels[0]) - 1, len(levels[0][0]) - 1, tuple(
-            (k, i, j, v)
-            for k, lvl in enumerate(levels)
-            for i, row in enumerate(lvl)
-            for j, v in enumerate(row)
-        ))
 
     def weight(self) -> int:
         return sum(k * v for k, _, _, v in self.entries)
@@ -139,27 +127,14 @@ def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
             for gamma, runs, _ in _fold(enumerate_L(alpha, beta, n), m, caps)]
 
 
-def max_support(p, q) -> int:
-    """The paper's length-based support bound S = ceil((l(B)-(a+b))/ab) - 1.
-
-    Unsound in general: when the per-pair grades min(deg_y p_i, deg_x q_j)
-    differ, S can fall below the largest of them and contributing terms
-    then sit above S.  The engine truncates at
-    contributing_support; S is kept as the reference that acceptance
-    criterion 4 checks.
-    """
-    p = tuple(p)
-    q = tuple(q)
-    a, b = len(p), len(q)
-    return ceil((len(build_B(p, q)) - (a + b)) / (a * b)) - 1
-
-
 def contributing_support(p, q) -> int:
     """Sharp support bound: the largest grade with a nonzero kernel entry.
 
-    The length-based bound of max_support averages the per-pair grades and
-    can fall below max_ij min(deg_y p_i, deg_x q_j) when they are unequal,
-    dropping genuine contributions; this bound is exact.
+    The paper's length-based bound S = ceil((l(B)-(a+b))/ab) - 1, kept as
+    the tests' reference max_support (tests/conftest.py), averages the
+    per-pair grades and can fall below max_ij min(deg_y p_i, deg_x q_j)
+    when they are unequal, dropping genuine contributions; this bound is
+    exact.
     """
     return max(min(pi.y, qj.x) for pi in p for qj in q)
 
@@ -245,9 +220,9 @@ def from_vector(vec, layout: str = "by-level", shape=None,
     if len(vec) < a + b:
         raise ValueError("vector shorter than its a+b boundary")
     if layout == "by-pair":
-        if len(vec) < len(btable):
+        if len(vec) < len(btable.entries):
             raise ValueError("vector too short for the BTable")
-        if len(vec) > len(btable):
+        if len(vec) > len(btable.entries):
             raise ValueError("vector too long for the BTable")
         places = btable.entries
     else:

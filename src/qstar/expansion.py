@@ -262,7 +262,8 @@ def render(expansion: StarExpansion, fmt: str = "text") -> str:
     through json; the terms are written directly at the same indentation,
     and tests/test_expansion.py holds the two byte-identical.  JSON
     "bounds.S" is the sharp contributing_support the expansion was
-    truncated at, not the paper's length-based max_support.  Each distinct
+    truncated at, not the paper's length-based bound (the tests' reference
+    max_support in tests/conftest.py).  Each distinct
     slot is written once per call.
     """
     if fmt == "text":

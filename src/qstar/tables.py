@@ -106,7 +106,10 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
                 rows[0][j] += t
             rows[i][j] = 0
 
-    depth_first(node(0, 0))
+    try:
+        depth_first(node(0, 0))
+    finally:
+        del node  # its closure holds it: break the cycle, free out
     out.sort(key=lambda g: g.rows)
     return out
 

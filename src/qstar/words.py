@@ -18,9 +18,6 @@ from .tables import _check_margins, depth_first
 class ThreeWord(NamedTuple):
     columns: tuple  # tuple of (s, i, j) triples
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def row(self, c: int) -> tuple:
         return tuple(col[c - 1] for col in self.columns)
 
@@ -70,40 +67,6 @@ def _cell_condition(s: int, i: int, j: int) -> str | None:
         return "(i)"
     if s > 0 and (i == 1 or j == 1):
         return "(ii)"
-    return None
-
-
-def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
-    """Membership check for A(alpha, beta, n, m); None means ok."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    bad = validate_word(omega)
-    if bad is not None:
-        return bad
-    if len(omega) > n:
-        return f"word has {len(omega)} columns, more than n={n}"
-    for t, col in enumerate(omega.columns, start=1):
-        broken = _cell_condition(*col)
-        if broken == "(i)":
-            return f"condition (i) at t={t}: column (s,1,1) has no preimage"
-        if broken:
-            return f"condition (ii) at t={t}: positive level on the boundary"
-    total = sum(col[0] for col in omega.columns)
-    if total != m:
-        return f"condition (iii): level sum {total} != m={m}"
-    a, b = len(alpha), len(beta)
-    want2 = (len(omega) - sum(alpha),) + alpha
-    want3 = (len(omega) - sum(beta),) + beta
-    if want2[0] < 0 or want3[0] < 0:
-        return "condition (iv): fewer columns than the margin weight"
-    t2 = row_type(omega, 2)
-    t3 = row_type(omega, 3)
-    t2 = t2 + (0,) * (a + 1 - len(t2))
-    t3 = t3 + (0,) * (b + 1 - len(t3))
-    if len(t2) != a + 1 or t2 != want2:
-        return f"condition (iv): type^2 {t2} != {want2}"
-    if len(t3) != b + 1 or t3 != want3:
-        return f"condition (iv): type^3 {t3} != {want3}"
     return None
 
 
@@ -161,7 +124,7 @@ def word_stats(omega: ThreeWord):
     Raises ValueError, as decode does, on a column with no matrix cell.
     """
     check_columns(omega)
-    n_cols = len(omega)
+    n_cols = len(omega.columns)
     s = omega.columns[-1][0] if omega.columns else 0
     m = sum(col[0] for col in omega.columns)
     alpha = row_type(omega, 2)[1:]
@@ -182,7 +145,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     recursion limit.  Candidates come in lex order of (s, i, j), a spent
     row-2 value's (s, i) group is stepped over at once, and the top level
     is m, so a branch ends once it cannot complete: the rem columns left
-    cannot carry a weight in [s*rem, m*rem]; a boundary count is unspent
+    cannot carry a weight of at least s*rem; a boundary count is unspent
     past its last candidate (value 1 is the boundary, taken only at level
     0, so tj[1] once s > 0 and ti[1] once i > 1); or at s = m a row-2
     value below i is unspent, or the row-3 units owed below j exceed the
@@ -216,8 +179,6 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                 if wrem == 0:
                     out.append(ThreeWord(tuple(cols)))
                 return
-            if wrem > m * rem:
-                return
             while idx < len(candidates):
                 s, i, j = candidates[idx]
                 ui, uj = ti[i], tj[j]
@@ -229,9 +190,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                 if not ui:  # step past the (s, i) group: it ends at b + 1
                     idx += b + 2 - j
                     continue
-                cap = ui if ui < uj else uj  # rem >= ui: rem sums ti
-                if s * cap > wrem:
-                    cap = wrem // s
+                cap = ui if ui < uj else uj  # cap <= ui <= rem: s*cap <= wrem
                 for c in range(1, cap + 1):
                     ti[i] -= c
                     tj[j] -= c
@@ -244,6 +203,9 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                 owed += uj
                 idx += 1
 
-        depth_first(node(0, m, n_cols, 2, 0))
+        try:
+            depth_first(node(0, m, n_cols, 2, 0))
+        finally:
+            del node  # its closure holds it: break the cycle, free out
     out.sort()
     return out

@@ -2,11 +2,13 @@
 
 import random
 from contextlib import contextmanager
+from math import ceil
 
 import qstar.oracle
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import CubicalMatrix, contributing_support, lift_all, max_order
 from qstar.expansion import gamma_to_eterm
+from qstar.words import ThreeWord, _cell_condition, row_type, validate_word
 
 # Multi-indices with up to two entries, each at most 2.
 MULTI_INDICES = [
@@ -73,6 +75,65 @@ def exact_lifts(alpha, beta, n, m, caps=None):
     )
 
 
+def from_levels(levels) -> CubicalMatrix:
+    """The matrix with dense levels Gamma^0..Gamma^s (row tuples)."""
+    return CubicalMatrix(len(levels[0]) - 1, len(levels[0][0]) - 1, tuple(
+        (k, i, j, v)
+        for k, lvl in enumerate(levels)
+        for i, row in enumerate(lvl)
+        for j, v in enumerate(row)
+    ))
+
+
+def max_support(p, q) -> int:
+    """The paper's length-based support bound S = ceil((l(B)-(a+b))/ab) - 1.
+
+    Unsound in general: when the per-pair grades min(deg_y p_i, deg_x q_j)
+    differ, S can fall below the largest of them and contributing terms
+    then sit above S.  The engine truncates at
+    contributing_support; S is kept as the reference that acceptance
+    criterion 4 checks.
+    """
+    p = tuple(p)
+    q = tuple(q)
+    a, b = len(p), len(q)
+    return ceil((len(build_B(p, q).entries) - (a + b)) / (a * b)) - 1
+
+
+def in_A(omega: ThreeWord, alpha, beta, n, m) -> str | None:
+    """Membership check for A(alpha, beta, n, m); None means ok."""
+    alpha = tuple(alpha)
+    beta = tuple(beta)
+    bad = validate_word(omega)
+    if bad is not None:
+        return bad
+    if len(omega.columns) > n:
+        return f"word has {len(omega.columns)} columns, more than n={n}"
+    for t, col in enumerate(omega.columns, start=1):
+        broken = _cell_condition(*col)
+        if broken == "(i)":
+            return f"condition (i) at t={t}: column (s,1,1) has no preimage"
+        if broken:
+            return f"condition (ii) at t={t}: positive level on the boundary"
+    total = sum(col[0] for col in omega.columns)
+    if total != m:
+        return f"condition (iii): level sum {total} != m={m}"
+    a, b = len(alpha), len(beta)
+    want2 = (len(omega.columns) - sum(alpha),) + alpha
+    want3 = (len(omega.columns) - sum(beta),) + beta
+    if want2[0] < 0 or want3[0] < 0:
+        return "condition (iv): fewer columns than the margin weight"
+    t2 = row_type(omega, 2)
+    t3 = row_type(omega, 3)
+    t2 = t2 + (0,) * (a + 1 - len(t2))
+    t3 = t3 + (0,) * (b + 1 - len(t3))
+    if len(t2) != a + 1 or t2 != want2:
+        return f"condition (iv): type^2 {t2} != {want2}"
+    if len(t3) != b + 1 or t3 != want3:
+        return f"condition (iv): type^3 {t3} != {want3}"
+    return None
+
+
 def size(gamma):
     """Units in a cubical matrix, boundary included."""
     return sum(v for _, _, _, v in gamma.entries)
@@ -90,7 +151,7 @@ def interior_sum(gamma):
 
 def from_margin(gamma):
     """A margin matrix embedded as a single level-0 cubical matrix."""
-    return CubicalMatrix.from_levels((gamma.rows,))
+    return from_levels((gamma.rows,))
 
 
 def row_margin(gamma, i):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import combinatorial_grid, scalars_dropped
-from qstar import cli, cubes
+from qstar import cli, cubes, expansion
 from qstar.algebra import Monomial2, ScaledMonomial, render_monomial
 from qstar.cli import main
 
@@ -419,6 +419,15 @@ class TestWord:
             f"error: bad word column {column!r}: expected (s,i,j);(s,i,j);...\n"
         )
 
+    @pytest.mark.parametrize("argv, err", [
+        (("encode", "0,-1,0", "--shape", "1,1"),
+         "error: vector entries must be nonnegative\n"),
+        (("decode", "(-1,2,2)"),
+         "error: invalid word: condition 1 at t=1: negative level\n"),
+    ])
+    def test_negative_entry_is_named(self, capsys, argv, err):
+        assert run(capsys, "word", *argv) == (2, "", err)
+
     def test_stats_refuses_shape(self, capsys):
         # stats used to ignore --shape and exit 0
         code, out, err = run(
@@ -426,6 +435,27 @@ class TestWord:
         )
         assert (code, out) == (2, "")
         assert err == "error: word stats does not take --shape\n"
+
+
+@pytest.fixture
+def lift_route_short(monkeypatch):
+    """The lift route loses its last matrix, so the two routes disagree."""
+    lift_all = expansion.lift_all
+    monkeypatch.setattr(expansion, "lift_all",
+                        lambda *args: lift_all(*args)[:-1])
+
+
+class TestPathMismatch:
+    def test_star_both_exits_3(self, capsys, lift_route_short):
+        assert run(capsys, "star", *WORKED_FLAGS, "--path", "both") == (
+            3, "", "error: enumerate and lift paths disagree\n")
+
+    def test_verify_fails(self, capsys, lift_route_short):
+        code, out, _ = run(capsys, "verify", *WORKED_FLAGS)
+        assert code == 1
+        lines = out.splitlines()
+        assert "path agreement:  FAIL" in lines
+        assert "enumerate and lift paths produced different terms" in lines
 
 
 class TestVerify:

@@ -9,9 +9,11 @@ from conftest import (
     col_margin,
     combinatorial_grid,
     exact_lifts,
+    from_levels,
     from_margin,
     interior_sum,
     interior_support_count,
+    max_support,
     row_margin,
     size,
 )
@@ -23,7 +25,6 @@ from qstar.cubes import (
     lift,
     lift_all,
     max_order,
-    max_support,
     to_vector,
 )
 from qstar.tables import MarginMatrix, enumerate_L
@@ -34,7 +35,7 @@ Y = Monomial2(0, 1)
 
 
 def mk(*levels):
-    return CubicalMatrix.from_levels(levels)
+    return from_levels(levels)
 
 
 @st.composite
@@ -56,7 +57,7 @@ def dense_levels(draw, a, b, top):
 
 
 def cubical_matrices(a, b, top):
-    return dense_levels(a, b, top).map(CubicalMatrix.from_levels)
+    return dense_levels(a, b, top).map(from_levels)
 
 
 @st.composite
@@ -67,7 +68,7 @@ def shaped_levels(draw):
 
 
 def shaped_matrices():
-    return shaped_levels().map(CubicalMatrix.from_levels)
+    return shaped_levels().map(from_levels)
 
 
 @st.composite
@@ -159,7 +160,7 @@ class TestEntries:
 
     @given(shaped_levels())
     def test_from_levels_round_trip(self, levels):
-        g = CubicalMatrix.from_levels(levels)
+        g = from_levels(levels)
         # the by-level layout read straight off the dense levels
         flat = [row[0] for row in levels[0][1:]] + levels[0][0][1:]
         flat += [v for lvl in levels for row in lvl[1:] for v in row[1:]]
@@ -472,7 +473,7 @@ class TestVectorCodec:
     def test_by_pair_round_trip(self, case):
         g, btable = case
         vec = to_vector(g, layout="by-pair", btable=btable)
-        assert len(vec) == len(btable)
+        assert len(vec) == len(btable.entries)
         assert from_vector(vec, layout="by-pair", btable=btable) == g
 
     def test_length_mismatch(self):

@@ -10,6 +10,7 @@ import qstar.cubes
 import qstar.expansion
 from conftest import (
     WORKED,
+    from_levels,
     lift_pairs,
     oracle_grid,
     three_entry_grid,
@@ -33,7 +34,7 @@ Y = Monomial2(0, 1)
 
 
 def mk(*levels):
-    return CubicalMatrix.from_levels(levels)
+    return from_levels(levels)
 
 
 def reference_canonical_slots(slots):

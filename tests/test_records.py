@@ -1,4 +1,5 @@
-"""Record contracts: read-only fields, and sorts in field order."""
+"""Record contracts: read-only fields, field replacement, and sorts in
+field order."""
 
 import random
 
@@ -39,6 +40,20 @@ def test_fields_are_read_only(record, name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("record, name, value", [
+    (build_B(WORKED[2], WORKED[3]), "p_args", WORKED[3]),
+    (ThreeWord(((0, 2, 2), (1, 2, 2))), "columns", ((0, 3, 3),)),
+], ids=["BTable", "ThreeWord"])
+def test_replace_and_make(record, name, value):
+    # namedtuple's _make checks len() against the number of fields
+    replaced = record._replace(**{name: value})
+    assert getattr(replaced, name) == value
+    assert replaced == type(record)._make(
+        value if field == name else getattr(record, field)
+        for field in record._fields)
+    assert replaced._replace(**{name: getattr(record, name)}) == record
 
 
 def _shuffled(items):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from itertools import chain, combinations_with_replacement, groupby
 
@@ -18,6 +19,7 @@ from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.expansion import ETerm, gamma_to_eterm, star_product
 from qstar.oracle import expand_elementary, expand_terms
 from qstar.tables import MarginMatrix, classical_product, enumerate_L
+from qstar.words import enumerate_A
 
 X = Monomial2(1, 0)
 Y = Monomial2(0, 1)
@@ -81,6 +83,23 @@ class TestEnumerateL:
         if sum(alpha) > n or sum(beta) > n:
             return
         assert set(enumerate_L(alpha, beta, n)) == brute_force_L(alpha, beta, n)
+
+
+@pytest.mark.parametrize("walk, spec", [
+    (enumerate_L, ((2, 1), (1, 2), 4)),
+    (enumerate_A, ((2, 1), (1, 2), 4, 2)),
+])
+def test_walk_result_is_freed_without_the_gc(walk, spec):
+    # a walk's node closure that kept itself would hold the result in a
+    # cycle, alive after the caller drops it until a collection
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        walk(*spec)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestCells:

@@ -9,20 +9,21 @@ from hypothesis import assume, given, strategies as st
 from conftest import (
     col_margin,
     combinatorial_grid,
+    from_levels,
     from_margin,
+    in_A,
     row_margin,
     size,
 )
 import qstar
 import qstar.words
-from qstar.cubes import CubicalMatrix, enumerate_Q
+from qstar.cubes import enumerate_Q
 from qstar.tables import MarginMatrix, depth_first
 from qstar.words import (
     ThreeWord,
     decode,
     encode,
     enumerate_A,
-    in_A,
     row_type,
     validate_word,
     word_stats,
@@ -87,7 +88,7 @@ def three_entry_grid():
 
 
 def mk(*levels):
-    return CubicalMatrix.from_levels(levels)
+    return from_levels(levels)
 
 
 # Example 3Palabra: level-0 unit at (2,2), level-1 units at (1,1) and (1,2)
@@ -166,6 +167,11 @@ class TestCodec:
     def test_decode_rejects_bad_structure(self):
         with pytest.raises(ValueError):
             decode(ThreeWord(((1, 1, 2),)))
+
+    def test_decode_rejects_decreasing_levels(self):
+        with pytest.raises(ValueError) as exc:
+            decode(ThreeWord(((1, 2, 2), (0, 2, 2))))
+        assert str(exc.value) == "condition 1 at t=1: s decreasing"
 
     @pytest.mark.parametrize("word", [
         ThreeWord(((0, 3, 3),)), ThreeWord(((0, 1, 3),)),
