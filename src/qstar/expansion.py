@@ -232,38 +232,40 @@ def _json_slot(slot: tuple) -> str:
     )
 
 
+def _json_values(values) -> str:
+    """A params list, its items written at 6 spaces."""
+    return _json_list([f"      {v}" for v in values], "    ")
+
+
 def _render_json(expansion: StarExpansion) -> str:
-    import json  # here, so that importing the CLI does not load json
-    head = json.dumps({
-        "params": {
-            "alpha": list(expansion.alpha),
-            "beta": list(expansion.beta),
-            "p": [_monomial_text(mono) for mono in expansion.p],
-            "q": [_monomial_text(mono) for mono in expansion.q],
-            "n": expansion.n,
-        },
-        "bounds": {"S": expansion.s_bound, "M": expansion.m_bound},
-    }, indent=2)
+    e = expansion
+    p, q = ([f'"{_monomial_text(mono)}"' for mono in monos]
+            for monos in (e.p, e.q))  # monomial texts: nothing to escape
     slot = cache(_json_slot)  # each distinct slot written once per call
     terms = [
         f'    {{\n      "m": {t.hbar},\n      "scalar": {t.scalar},\n'
         f'      "slots": {_json_list([*map(slot, t.slots)], "      ")}\n    }}'
-        for t in expansion.terms()
+        for t in e.terms()
     ]
-    # head ends with the closing brace of "bounds" and then of the document
-    return head[:-2] + ',\n  "terms": ' + _json_list(terms, "  ") + "\n}"
+    return (
+        f'{{\n  "params": {{\n    "alpha": {_json_values(e.alpha)},\n'
+        f'    "beta": {_json_values(e.beta)},\n    "p": {_json_values(p)},\n'
+        f'    "q": {_json_values(q)},\n    "n": {e.n}\n  }},\n'
+        f'  "bounds": {{\n    "S": {e.s_bound},\n    "M": {e.m_bound}\n  }},\n'
+        f'  "terms": {_json_list(terms, "  ")}\n}}'
+    )
 
 
 def render(expansion: StarExpansion, fmt: str = "text") -> str:
     """Deterministic serialization; text mirrors e_(...)(...) h^m notation.
 
     JSON is the bytes of json.dumps(doc, indent=2) for the document
-    {"params", "bounds", "terms"}, but only the params/bounds head goes
-    through json; the terms are written directly at the same indentation,
-    and tests/test_expansion.py holds the two byte-identical.  JSON
-    "bounds.S" is the sharp contributing_support the expansion was
-    truncated at, not the paper's length-based bound (the tests' reference
-    max_support in tests/conftest.py).  Each distinct
+    {"params", "bounds", "terms"}, tests/test_expansion.py's reference, but
+    one writer makes all of it from templates at that indentation: its
+    only strings are monomial texts, digits, x, y and ^, which json would
+    not escape.  JSON "bounds.S" is the sharp contributing_support the
+    expansion was truncated at, not the paper's length-based bound (the
+    tests' reference max_support in tests/conftest.py).  Each distinct
     slot is written once per call.
     """
     if fmt == "text":

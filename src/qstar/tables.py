@@ -49,16 +49,19 @@ def _check_margins(alpha, beta, n):
         raise ValueError("multi-index entries must be nonnegative")
 
 
-def depth_first(root) -> None:
-    """Run a walk whose generator nodes yield their children, depth first
-    on an explicit stack, so no depth reaches the recursion limit."""
-    stack = [root]
+def depth_first(node, *root) -> None:
+    """Run the walk from node(*root), depth first on an explicit stack, so
+    no depth reaches the recursion limit.  A node is a generator that
+    yields each child's argument tuple, and depth_first pushes
+    node(*child); a node never names itself, so the walk forms no cycle.
+    """
+    stack = [node(*root)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
         else:
-            stack.append(child)
+            stack.append(node(*child))
 
 
 def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
@@ -66,11 +69,12 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
 
     A walk over the interior margins, run by depth_first: each step puts
     t >= 1 units in a later interior cell, row-major, t at most both
-    residual margins.  A branch holding min(|alpha|, |beta|) units has
-    spent every row or every column margin, so it stops there.  The cells
-    from row i on take at most the row margins left in rows i..a, so a
-    scan ends once those cannot bring the units up to the total <= n
-    bound.  The residual margins form the boundary.
+    residual margins, and yields the child's (next cell, units).  A branch
+    holding min(|alpha|, |beta|) units has spent every row or every column
+    margin, so it stops there.  The cells from row i on take at most the
+    row margins left in rows i..a, so a scan ends once those cannot bring
+    the units up to the total <= n bound.  The residual margins form the
+    boundary.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -87,7 +91,7 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
     out = []
 
     def node(start: int, units: int):
-        """Record this node, then place each child in rows and yield it."""
+        """Record this node, then place each child in rows, yield its args."""
         if units >= min_units:
             out.append(MarginMatrix(tuple(map(tuple, rows))))
             if units == full:
@@ -101,15 +105,12 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
                 rows[i][0] -= t
                 rows[0][j] -= t
                 rows[i][j] = t
-                yield node(idx + 1, units + t)
+                yield idx + 1, units + t
                 rows[i][0] += t
                 rows[0][j] += t
             rows[i][j] = 0
 
-    try:
-        depth_first(node(0, 0))
-    finally:
-        del node  # its closure holds it: break the cycle, free out
+    depth_first(node, 0, 0)
     out.sort(key=lambda g: g.rows)
     return out
 

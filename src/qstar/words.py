@@ -141,9 +141,10 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     walk over it (the fold behind cubes.lift and cubes.enumerate_Q, or
     the enumerate route's per-cell pieces in expansion.product_terms);
     it checks Q(m), and at m = 0 enumerate_L.  The walk runs under
-    tables.depth_first, so neither the column count nor m reaches the
-    recursion limit.  Candidates come in lex order of (s, i, j), a spent
-    row-2 value's (s, i) group is stepped over at once, and the top level
+    tables.depth_first, each node yielding its children's five carried
+    numbers, so neither the column count nor m reaches the recursion
+    limit.  Candidates come in lex order of (s, i, j), a spent row-2
+    value's (s, i) group is stepped over at once, and the top level
     is m, so a branch ends once it cannot complete: the rem columns left
     cannot carry a weight of at least s*rem; a boundary count is unspent
     past its last candidate (value 1 is the boundary, taken only at level
@@ -172,7 +173,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
         cols = []
 
         def node(idx: int, wrem: int, rem: int, low: int, owed: int):
-            """Record a full word, or place each child's columns, yield it."""
+            """Record a full word, or place each child and yield its args."""
             while not ti[low]:  # stops at the 1 appended at index a + 2
                 low += 1  # now the least row-2 value >= 2 left unspent
             if rem == 0:
@@ -195,17 +196,13 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
                     ti[i] -= c
                     tj[j] -= c
                     cols.extend([(s, i, j)] * c)
-                    yield node(idx + 1, wrem - s * c, rem - c, low,
-                               owed + uj - c)
+                    yield idx + 1, wrem - s * c, rem - c, low, owed + uj - c
                     del cols[len(cols) - c:]
                     ti[i] += c
                     tj[j] += c
                 owed += uj
                 idx += 1
 
-        try:
-            depth_first(node(0, m, n_cols, 2, 0))
-        finally:
-            del node  # its closure holds it: break the cycle, free out
+        depth_first(node, 0, m, n_cols, 2, 0)
     out.sort()
     return out

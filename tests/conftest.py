@@ -268,10 +268,12 @@ def heavy_entry_grid():
     """(alpha, beta, p, q, n) specs with three-entry margins of weight 7-8.
 
     One seeded spec per pair of margins, n <= 9, exponents up to 3, with
-    its own Random.  The star side's cost grows steeply with the grade
-    K = max_ij min(deg_y p_i, deg_x q_j): one spec took 8 s at K = 2 and
-    20 s at K = 3.  So each spec is redrawn until K <= 1, where a kernel
-    coefficient deg_y p_i * deg_x q_j can still exceed 1.
+    its own Random.  The cost grows steeply with the grade K = max_ij
+    min(deg_y p_i, deg_x q_j), so each spec is redrawn until K <= 2: two
+    verify calls and one star_product per spec took 7.1 s CPU over the
+    grid, 3.9 s on its worst spec, against 2.1 s over the grid at K <= 1
+    (Python 3.11, shared 2-core host).  With no cap (exponents stop at 3)
+    one verify pass took 9.2 s, 7.0 s on one spec.
     """
     rng = random.Random(20261020)
     margins = [(1, 3, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4)]
@@ -287,6 +289,6 @@ def heavy_entry_grid():
                     Monomial2(rng.randint(0, 3), rng.randint(0, 3))
                     for _ in beta
                 )
-                if max(min(pi.y, qj.x) for pi in p for qj in q) <= 1:
+                if max(min(pi.y, qj.x) for pi in p for qj in q) <= 2:
                     break
             yield alpha, beta, p, q, n

@@ -46,7 +46,6 @@ from qstar.oracle import (
     expand_terms,
     moyal,
     poisson,
-    verify,
 )
 from qstar.tables import MarginMatrix, classical_product, enumerate_L
 from qstar.words import decode, encode, enumerate_A, word_stats

@@ -814,6 +814,55 @@ class TestGcPause:
         assert (exc.value.code, gc.isenabled()) == (2, caller_gc)
 
 
+ENUM_SPEC = ["--alpha", "1,1", "--beta", "2,1", "--n", "4", "--m", "1"]
+
+
+class TestNoCyclicGarbage:
+    """No command leaves anything for the cyclic GC: with main pausing
+    it, a cycle would live on until some later collection.  Argparse's
+    own help and usage exits are left out: its HelpFormatter makes
+    cycles of its own."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["star", *WORKED_FLAGS], 0),
+        (["star", *WORKED_FLAGS, "--format", "json"], 0),
+        (["star", *WORKED_FLAGS, "--path", "lift"], 0),
+        (["star", *WORKED_FLAGS, "--path", "both"], 0),
+        (["star", *WORKED_FLAGS, "--output", "{out}"], 0),
+        (["verify", *WORKED_FLAGS], 0),
+        (["enum", "L", *ENUM_SPEC[:6]], 0),
+        (["enum", "L", *ENUM_SPEC[:6], "--count-only"], 0),
+        (["enum", "A", *ENUM_SPEC], 0),
+        (["enum", "A", *ENUM_SPEC, "--count-only"], 0),
+        (["enum", "Q", *ENUM_SPEC], 0),
+        (["enum", "Q", *ENUM_SPEC, "--count-only"], 0),
+        (["enum", "Q", *ENUM_SPEC, "--levels", "3"], 0),
+        (["enum", "Q", *ENUM_SPEC, "--layout", "by-pair",
+          *WORKED_FLAGS[4:8]], 0),
+        (["word", "encode", "0,0,0,0,0,0,0,1,1,1,0,0", "--shape", "2,2"], 0),
+        (["word", "decode", "(0,3,3);(1,2,2);(1,2,3)"], 0),
+        (["word", "stats", "(0,3,3);(1,2,2);(1,2,3)"], 0),
+        (["enum", "L", "--alpha", "2,1", "--beta", "1", "--n", "2"], 2),
+        (["word", "stats", "(1,2,2);(0,3,3)"], 2),
+    ], ids=["star", "star-json", "star-lift", "star-both", "star-output",
+            "verify", "enum-L", "enum-L-count", "enum-A", "enum-A-count",
+            "enum-Q", "enum-Q-count", "enum-Q-levels", "enum-Q-by-pair",
+            "encode", "decode", "stats", "bad-margins", "bad-word"])
+    def test_collect_finds_nothing(self, capsys, tmp_path, argv, code):
+        argv = [arg.format(out=tmp_path / "out") for arg in argv]
+        cli._parser()  # built once per process, not by the measured call
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            got = main(argv)
+            left = gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+        err = capsys.readouterr().err
+        assert (got, left, bool(err)) == (code, 0, code != 0)
+
+
 class TestAsciiIntegers:
     """Integers are ASCII digits: int() also reads "1_0" and "\u0661"."""
 

@@ -342,7 +342,7 @@ class TestVerify:
                 dropped = verify(*spec)
             assert dropped.identity_ok != nontrivial, spec
             checked += nontrivial
-        assert checked == 12
+        assert checked == 15
 
     def test_four_four_at_n9(self, monkeypatch):
         # ROADMAP rung: both engine routes, the star side and the grouped

@@ -8,7 +8,7 @@ import pytest
 from conftest import WORKED
 from qstar.algebra import Monomial2, ScaledMonomial, build_B
 from qstar.cubes import CubicalMatrix, enumerate_Q
-from qstar.expansion import ETerm, star_product
+from qstar.expansion import star_product
 from qstar.oracle import verify
 from qstar.tables import MarginMatrix, enumerate_L
 from qstar.words import ThreeWord, enumerate_A

@@ -269,13 +269,15 @@ class TestEnumerateA:
         count = 0
 
         def counted(node):
-            nonlocal count
-            count += 1
-            for child in node:
-                yield counted(child)
+            def call(*args):
+                nonlocal count
+                count += 1
+                return node(*args)
+            return call
 
         monkeypatch.setattr(qstar.words, "depth_first",
-                            lambda root: depth_first(counted(root)))
+                            lambda node, *root: depth_first(counted(node),
+                                                            *root))
         wide_beta = len(enumerate_A(alpha, beta, n, 0)), count
         count = 0
         wide_alpha = len(enumerate_A(beta, alpha, n, 0)), count
