@@ -11,6 +11,9 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
+import re
+import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 
@@ -121,6 +124,10 @@ def build_B(p, q) -> BTable:
     return BTable(p, q, entries, columns)
 
 
+# sign, coefficient digits, x part, y part; only ASCII digits
+_MONOMIAL = re.compile(r"([+-]?)([0-9]*)(x(?:\^([0-9]+))?)?(y(?:\^([0-9]+))?)?")
+
+
 class MonomialSyntaxError(ValueError):
     """Malformed monomial text; carries the byte offset of the error."""
 
@@ -129,44 +136,26 @@ class MonomialSyntaxError(ValueError):
         self.offset = offset
 
 
-def _scan_digits(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos == start:
-        raise MonomialSyntaxError("expected digits", start)
-    return int(text[start:pos]), pos
-
-
 def parse_monomial(text: str) -> ScaledMonomial:
     """Parse compact monomial text like "x^2y", "3x^4" or "-2y^3".
 
-    Grammar: sign? digits? xpart? ypart? with xpart = "x" ("^" digits)? and
-    likewise for y; at least one of the three parts must be present.
+    The grammar is _MONOMIAL, and at least one of the coefficient, the x
+    part and the y part must be present.  The parts convert in text order
+    before any syntax error is raised, so an oversized number ahead of the
+    error raises int()'s ValueError, as a left-to-right scan would.
     """
-    pos = 0
-    sign = 1
-    if pos < len(text) and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    coeff = None
-    if pos < len(text) and "0" <= text[pos] <= "9":
-        coeff, pos = _scan_digits(text, pos)
-    exps = {}
-    for var in "xy":
-        if pos < len(text) and text[pos] == var:
-            pos += 1
-            if pos < len(text) and text[pos] == "^":
-                pos += 1
-                exps[var], pos = _scan_digits(text, pos)
-            else:
-                exps[var] = 1
-    if pos != len(text):
-        raise MonomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    if coeff is None and not exps:
+    match = _MONOMIAL.match(text)
+    sign, digits, x, x_exp, y, y_exp = match.groups()
+    coeff = int(digits) if digits else 1
+    mono = Monomial2(int(x_exp or 1) if x else 0, int(y_exp or 1) if y else 0)
+    end = match.end()
+    if end < len(text):
+        if end and text[end - 1:end + 1] in ("x^", "y^"):
+            raise MonomialSyntaxError("expected digits", end + 1)
+        raise MonomialSyntaxError(f"unexpected character {text[end]!r}", end)
+    if not (digits or x or y):
         raise MonomialSyntaxError("empty monomial", 0)
-    c = sign * (1 if coeff is None else coeff)
-    return ScaledMonomial(c, Monomial2(exps.get("x", 0), exps.get("y", 0)))
+    return ScaledMonomial(-coeff if sign == "-" else coeff, mono)
 
 
 def render_monomial(sm: ScaledMonomial) -> str:
@@ -187,3 +176,19 @@ def render_monomial(sm: ScaledMonomial) -> str:
         elif e > 1:
             parts.append(f"{var}^{e}")
     return "".join(parts)
+
+
+@contextmanager
+def full_ints():
+    """Lift Python 3.11+'s int-to-str digit limit inside the block: each
+    writer of an integer that can outgrow the input enters it; parsing keeps
+    the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

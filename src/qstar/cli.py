@@ -1,16 +1,17 @@
-"""Command-line front-end.
+"""Command-line front-end: the command line only.
 
 Subcommands: star (full expansion), enum (L / Q / A listings), word
 (3-word codec) and verify (oracle cross-check).  Exit codes: 0 ok,
-1 verification failure, 2 input error (an oversized number included),
-3 internal path mismatch, 4 internal error (any other exception, reported
-as one "error: internal:" line), 141 (128 + SIGPIPE, silently) when the
-output's reader leaves early, as in `qstar ... | head`.  All output is
-deterministic for fixed inputs.  Only verify loads the oracle.  A process
-builds the argument parser once.  A well-formed argv is parsed from a
-per-command table of that parser's actions; argparse answers everything
-else, so help and usage errors are argparse's own.  main() pauses the
-cyclic GC for one command.
+1 verification failure, 2 input error (a number past Python's int digit
+limit included: parsing keeps it, while every writer prints integers in
+full through algebra.full_ints), 3 internal path mismatch, 4 internal
+error (any other exception, one "error: internal:" line), 141 (128 +
+SIGPIPE, silently) when the output's reader leaves early, as in `qstar
+... | head`.  Output is deterministic for fixed inputs.  Only verify loads
+the oracle.  A process builds the argument parser once.  A well-formed
+argv is parsed from a per-command table of that parser's actions;
+argparse answers everything else, so help and usage errors are its own.
+main() pauses the cyclic GC for one command.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import functools
 import gc
 import os
 import sys
-from contextlib import contextmanager
 
 from . import algebra, cubes, expansion, tables, words
 
@@ -91,23 +91,6 @@ def _read_monomials(args, alpha, beta) -> tuple:
     return p, q
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the int-to-str digit limit of Python 3.11+ inside the block.
-
-    Star scalars grow without bound; parsing keeps the limit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _parse_word(text: str) -> words.ThreeWord:
     """Parse "(s,i,j);(s,i,j);..." columns; blank text is the empty word."""
     text = text.strip()
@@ -169,9 +152,7 @@ def cmd_star(args) -> int:
         if list(results[0].terms()) != list(results[1].terms()):
             print("error: enumerate and lift paths disagree", file=sys.stderr)
             return EXIT_PATH_MISMATCH
-    with _unlimited_int_digits():
-        text = expansion.render(results[0], args.format)
-    _emit(text, args.output)
+    _emit(expansion.render(results[0], args.format), args.output)
     return EXIT_OK
 
 
@@ -248,12 +229,11 @@ def cmd_word(args) -> int:
         _emit(",".join(map(str, vec)), args.output)
     else:  # stats
         n_cols, s, m, alpha, beta = words.word_stats(omega)
-        _emit(
-            f"N={n_cols} s={s} m={m} "
-            f"alpha={','.join(map(str, alpha))} "
-            f"beta={','.join(map(str, beta))}",
-            args.output,
-        )
+        with algebra.full_ints():  # m sums the word's levels
+            text = (f"N={n_cols} s={s} m={m} "
+                    f"alpha={','.join(map(str, alpha))} "
+                    f"beta={','.join(map(str, beta))}")
+        _emit(text, args.output)
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from .algebra import (
     Monomial2,
     ScaledMonomial,
     build_B,
+    full_ints,
     render_monomial,
 )
 from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
@@ -266,10 +267,11 @@ def render(expansion: StarExpansion, fmt: str = "text") -> str:
     not escape.  JSON "bounds.S" is the sharp contributing_support the
     expansion was truncated at, not the paper's length-based bound (the
     tests' reference max_support in tests/conftest.py).  Each distinct
-    slot is written once per call.
+    slot is written once per call.  Scalars are written in full, inside
+    algebra.full_ints; an unknown format raises before it is entered.
     """
-    if fmt == "text":
-        return _render_text(expansion)
-    if fmt == "json":
-        return _render_json(expansion)
-    raise ValueError(f"unknown format {fmt!r}")
+    writer = {"text": _render_text, "json": _render_json}.get(fmt)
+    if writer is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    with full_ints():
+        return writer(expansion)

@@ -20,7 +20,7 @@ from math import comb, factorial, perm, prod
 from operator import add, sub
 from typing import NamedTuple
 
-from .algebra import Monomial2, ScaledMonomial, render_monomial
+from .algebra import Monomial2, ScaledMonomial, full_ints, render_monomial
 from .expansion import ETerm, StarExpansion, star_product
 from .tables import classical_product
 
@@ -380,11 +380,12 @@ def _orbit_mismatch(lhs: dict, rhs: dict) -> str:
         key=lambda key: (key[1], key[0]),
     )
     first = differ[0]
-    return (
-        f"expansion differs from Moyal oracle in {len(differ)} orbit(s); "
-        f"first {_render_orbit(first)}: expansion {lhs.get(first, 0)}, "
-        f"oracle {rhs.get(first, 0)}"
-    )
+    with full_ints():  # orbit coefficients and pair exponents
+        return (
+            f"expansion differs from Moyal oracle in {len(differ)} orbit(s); "
+            f"first {_render_orbit(first)}: expansion {lhs.get(first, 0)}, "
+            f"oracle {rhs.get(first, 0)}"
+        )
 
 
 class VerifyReport(NamedTuple):

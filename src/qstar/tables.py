@@ -111,7 +111,7 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
             rows[i][j] = 0
 
     depth_first(node, 0, 0)
-    out.sort(key=lambda g: g.rows)
+    out.sort()
     return out
 
 

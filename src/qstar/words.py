@@ -81,7 +81,11 @@ def encode(gamma: CubicalMatrix) -> ThreeWord:
 
 
 def check_columns(omega: ThreeWord) -> None:
-    """Raise ValueError unless every column has a cubical-matrix cell."""
+    """Raise ValueError unless omega passes validate_word, whose violation
+    is the message, and every column has a cubical-matrix cell."""
+    bad = validate_word(omega)
+    if bad is not None:
+        raise ValueError(bad)
     for t, col in enumerate(omega.columns, start=1):
         broken = _cell_condition(*col)
         if broken == "(i)":
@@ -97,9 +101,6 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
     explicit (a, b) shape is given (needed to recover trailing zero
     margins).
     """
-    bad = validate_word(omega)
-    if bad is not None:
-        raise ValueError(bad)
     check_columns(omega)
     if shape is not None:
         a, b = shape
@@ -121,7 +122,8 @@ def decode(omega: ThreeWord, shape=None) -> CubicalMatrix:
 def word_stats(omega: ThreeWord):
     """(N, support, weight, alpha, beta) read off the word directly.
 
-    Raises ValueError, as decode does, on a column with no matrix cell.
+    Raises ValueError, as decode does, on a word that validate_word
+    refuses or with a column that has no matrix cell.
     """
     check_columns(omega)
     n_cols = len(omega.columns)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 from math import comb, factorial, perm
@@ -101,6 +103,35 @@ class TestParse:
         with pytest.raises(MonomialSyntaxError) as exc:
             parse_monomial(text)
         assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("text,message,offset", [
+        ("x^y", "expected digits", 2),
+        ("y^", "expected digits", 2),
+        ("xy^x", "expected digits", 3),
+        ("2^3", "unexpected character '^'", 1),
+        ("-^", "unexpected character '^'", 1),
+        ("yx", "unexpected character 'x'", 1),
+        ("x^2^3", "unexpected character '^'", 3),
+        ("", "empty monomial", 0),
+        ("+", "empty monomial", 0),
+        ("\u0663x", "unexpected character '\u0663'", 0),
+    ])
+    def test_error_kind_and_offset(self, text, message, offset):
+        with pytest.raises(MonomialSyntaxError) as exc:
+            parse_monomial(text)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.offset == offset
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-to-str digit limit",
+    )
+    @pytest.mark.parametrize("text", ["9" * 4301 + "z", "x^" + "9" * 4301 + "^"])
+    def test_oversized_number_before_a_syntax_error(self, text):
+        # the parts convert before the syntax is judged: int()'s own error
+        with pytest.raises(ValueError) as exc:
+            parse_monomial(text)
+        assert not isinstance(exc.value, MonomialSyntaxError)
 
     @given(st.integers(-9, 9).filter(bool), st.integers(0, 9), st.integers(0, 9))
     def test_round_trip(self, c, x, y):

@@ -340,6 +340,17 @@ class TestWord:
         assert code == 0
         assert out.strip() == ""
 
+    def test_stats_prints_summed_levels_in_full(self, capsys):
+        # two 4,300-digit levels parse within Python's int-to-str limit;
+        # their sum m has 4,301 digits and is written in full
+        level = "9" * 4300
+        code, out, err = run(
+            capsys, "word", "stats", f"({level},2,2);({level},2,2)",
+        )
+        assert (code, err) == (0, "")
+        assert out == (f"N=2 s={level} m=1{'9' * 4299}8 "
+                       "alpha=2 beta=2\n")
+
     def test_invalid_word(self, capsys):
         code, _, err = run(capsys, "word", "stats", "(1,2,2);(0,3,3)")
         assert code == 2

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from itertools import chain
 from math import prod
@@ -16,8 +17,14 @@ from conftest import (
     three_entry_grid,
     wide_margin_grid,
 )
-from qstar.algebra import Monomial2, ScaledMonomial, build_B, render_monomial
-from qstar.cli import _unlimited_int_digits, main
+from qstar.algebra import (
+    Monomial2,
+    ScaledMonomial,
+    build_B,
+    full_ints,
+    render_monomial,
+)
+from qstar.cli import main
 from qstar.cubes import CubicalMatrix, enumerate_Q
 from qstar.expansion import (
     ETerm,
@@ -468,12 +475,12 @@ class TestWriter:
     """render's direct writer, byte for byte against the document route."""
 
     def test_json_bytes(self):
-        with _unlimited_int_digits():
+        with full_ints():
             for exp in writer_cases():
                 assert render(exp, "json") == reference_json(exp)
 
     def test_text_bytes(self):
-        with _unlimited_int_digits():
+        with full_ints():
             for exp in writer_cases():
                 assert render(exp, "text") == reference_text(exp)
 
@@ -502,6 +509,22 @@ class TestWriter:
         slots = {slot for t in second.terms() for slot in t.slots}
         assert slots & shared
         assert len(written) == len(slots) and set(written) == slots
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_library_render_prints_scalars_in_full(self, capsys, fmt):
+        # the top scalar is 1600!, 4,466 digits: past Python's 4,300-digit
+        # int-to-str limit, which render lifts for its own call only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        exp = star_product((1,), (1,), (Monomial2(0, 1600),),
+                           (Monomial2(1600, 0),), 1)
+        text = render(exp, fmt)
+        assert main(["star", "--alpha", "1", "--beta", "1", "--p", "y^1600",
+                     "--q", "x^1600", "--n", "1", "--format", fmt]) == 0
+        assert capsys.readouterr().out == text + "\n"
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+            with pytest.raises(ValueError):
+                int("9" * 5000)
 
     def test_unknown_format(self):
         exp = star_product((1,), (1,), (Y,), (X,), 1)

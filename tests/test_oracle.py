@@ -303,6 +303,18 @@ class TestVerify:
         assert min(differ, key=lambda k: (k[1], k[0])) == first
         assert (lhs[first], rhs[first]) == (1, 3)
 
+    def test_mismatch_line_prints_integers_in_full(self):
+        # a 5,001-digit coefficient and pair exponent, past Python's
+        # 4,300-digit int-to-str limit: a failed verify still says so
+        big, digits = 10 ** 5000, "1" + "0" * 5000
+        line = qstar.oracle._orbit_mismatch({(((0, 0),), 0): big}, {})
+        assert line == (
+            "expansion differs from Moyal oracle in 1 orbit(s); first "
+            f"(1) h^0: expansion {digits}, oracle 0"
+        )
+        line = qstar.oracle._orbit_mismatch({}, {(((big, 1),), 2): -3})
+        assert line.endswith(f"(x^{digits}y) h^2: expansion 0, oracle -3")
+
     def test_wide_margin_grid(self, monkeypatch):
         # two-entry margins of weight 3-4 at n <= 6; dropping the scalars
         # fails exactly where some kernel coefficient is not 1

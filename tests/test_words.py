@@ -203,6 +203,18 @@ class TestWordStats:
     def test_empty(self):
         assert word_stats(ThreeWord(())) == (0, 0, 0, (), ())
 
+    @pytest.mark.parametrize("columns", [
+        ((1, 2, 2), (0, 3, 3)),  # s decreasing: support would read 0
+        ((-1, 2, 2),),  # negative level: support and weight would read -1
+    ])
+    def test_refuses_what_decode_refuses(self, columns):
+        omega = ThreeWord(columns)
+        with pytest.raises(ValueError) as expected:
+            decode(omega)
+        with pytest.raises(ValueError) as exc:
+            word_stats(omega)
+        assert str(exc.value) == str(expected.value) == validate_word(omega)
+
     def test_matches_matrix_statistics(self):
         for m in range(3):
             for g in enumerate_Q((1, 2), (2, 1), 4, m):
