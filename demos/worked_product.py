@@ -45,7 +45,7 @@ exp = star_product(alpha, beta, p, q, n)
 # lists the matrices in the order of exp.by_order[m]
 pairs = sorted(
     ((gamma_to_eterm(g, table), g)
-     for g in lift_all(alpha, beta, n, exp.m_bound, table.k_max)),
+     for g in lift_all(classical, exp.m_bound, table.k_max)),
     key=lambda pair: (pair[0].slots, pair[0].scalar),
 )
 for m in range(exp.m_bound + 1):

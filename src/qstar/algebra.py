@@ -1,4 +1,4 @@
-"""Monomials in x, y, the monomial star kernel, and the B argument table.
+"""Monomials in x, y, the star kernel, the B argument table and ETerm terms.
 
 The star product of two monomials x^c y^d * x^f y^g expands as a finite sum
 
@@ -122,6 +122,35 @@ def build_B(p, q) -> BTable:
                 entries[k, i, j] = term
     columns = {place: col for col, place in enumerate(entries)}
     return BTable(p, q, entries, columns)
+
+
+def canonical_slots(slots) -> tuple:
+    """Sort (multiplicity, monomial) slots; equal monomials stay separate.
+
+    The order is total degree, then x, then y, then multiplicity, sorted
+    as plain tuples with no key function.
+    """
+    keyed = sorted([(mono.x + mono.y, mono, mult) for mult, mono in slots])
+    return tuple([(mult, mono) for _, mono, mult in keyed])
+
+
+class ETerm(NamedTuple):
+    """scalar * e_(multiplicities)(monomials) * h^hbar.
+
+    slots holds ordered (multiplicity, Monomial2) pairs.  A term keeps no
+    matrix: pair each capped matrix with its term through the lift route,
+    (gamma_to_eterm(g, btable), g) for g in lift_all(L, M, btable.k_max).
+    """
+
+    hbar: int
+    scalar: int
+    slots: tuple
+
+    def multiplicities(self) -> tuple:
+        return tuple(mult for mult, _ in self.slots)
+
+    def arguments(self) -> tuple:
+        return tuple(mono for _, mono in self.slots)
 
 
 # sign, coefficient digits, x part, y part; only ASCII digits

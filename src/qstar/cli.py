@@ -20,6 +20,7 @@ import argparse
 import functools
 import gc
 import os
+import re
 import sys
 
 from . import algebra, cubes, expansion, tables, words
@@ -91,19 +92,22 @@ def _read_monomials(args, alpha, beta) -> tuple:
     return p, q
 
 
+_WORD_COLUMN = re.compile(r"\(([^()]*)\)")  # (s,i,j), stripped of spaces
+
+
 def _parse_word(text: str) -> words.ThreeWord:
-    """Parse "(s,i,j);(s,i,j);..." columns; blank text is the empty word."""
-    text = text.strip()
-    if not text:
+    """Parse ";"-joined _WORD_COLUMNs; blank text is the empty word."""
+    if not text.strip():
         return words.ThreeWord(())
     cols = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip().strip("()")
+    for column in map(str.strip, text.split(";")):
+        match = _WORD_COLUMN.fullmatch(column)
         try:
-            s, i, j = map(_int, chunk.split(","))
+            s, i, j = map(_int, match[1].split(",")) if match else ()
         except ValueError:
             raise ValueError(
-                f"bad word column {chunk!r}: expected (s,i,j);(s,i,j);..."
+                f"bad word column {(match[1] if match else column)!r}: "
+                "expected (s,i,j);(s,i,j);..."
             ) from None
         cols.append((s, i, j))
     return words.ThreeWord(tuple(cols))
@@ -146,13 +150,13 @@ def _read_spec(args) -> tuple:
 
 def cmd_star(args) -> int:
     spec = _read_spec(args)
-    paths = ["enumerate", "lift"] if args.path == "both" else [args.path]
-    results = [expansion.star_product(*spec, path=path) for path in paths]
-    if len(results) == 2:
-        if list(results[0].terms()) != list(results[1].terms()):
-            print("error: enumerate and lift paths disagree", file=sys.stderr)
-            return EXIT_PATH_MISMATCH
-    _emit(expansion.render(results[0], args.format), args.output)
+    path = "enumerate" if args.path == "both" else args.path
+    result = expansion.star_product(*spec, path=path)
+    if path != args.path and result.by_order != expansion.star_product(
+            *spec, path="lift").by_order:  # dropped before render
+        print("error: enumerate and lift paths disagree", file=sys.stderr)
+        return EXIT_PATH_MISMATCH
+    _emit(expansion.render(result, args.format), args.output)
     return EXIT_OK
 
 

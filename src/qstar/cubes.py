@@ -5,11 +5,11 @@ its nonzero (k, i, j, v) runs.  Level 0 may use the boundary row and
 column; higher levels are interior-only.  The weight sum_{i,j,k} k *
 Gamma^k_ij is the power of h a term contributes, and the levelwise sum
 (smash) lands back in the classical set L.  Levels are placed once
-here: lift folds over a matrix's cells with the weight still left, for
-the lift route of the star product, and enumerate_Q keeps the fold's
-lifts of weight exactly m.  The enumerate route of the star product
-assembles each term from per-cell pieces (expansion.product_terms), so
-it and lift check each other; words.enumerate_A checks Q(m), and at
+here: lift_all folds over given matrices' cells with the weight still
+left, for the lift route of the star product, and enumerate_Q keeps the
+fold's lifts of weight exactly m.  The enumerate route of the star
+product assembles each term from per-cell pieces (product_terms), so it
+and lift_all check each other; words.enumerate_A checks Q(m), and at
 m = 0 the L that every walk takes from tables.enumerate_L.
 """
 
@@ -92,9 +92,10 @@ def _fold(gammas, m: int, caps):
 def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     """All cubical matrices in Q(alpha, beta, n, m), in to_vector order.
 
-    The exact-weight slice of lift's fold over enumerate_L, every cap at
-    m: the lifts with no weight left.  Checked by words.enumerate_A, which
-    shares no code with the fold, and by the tests' reference walk.
+    The exact-weight slice of lift_all's fold over enumerate_L, every cap
+    at m: the lifts with no weight left, so no matrix is built below m.
+    Checked by words.enumerate_A, which shares no code with the fold, and
+    by the tests' reference walk.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -105,26 +106,16 @@ def enumerate_Q(alpha, beta, n, m) -> list[CubicalMatrix]:
     return out
 
 
-def lift(gamma: MarginMatrix, m: int, caps) -> list[CubicalMatrix]:
-    """Every cubical matrix of weight <= m whose smash is gamma, in fold order.
+def lift_all(gammas, m: int, caps) -> list[CubicalMatrix]:
+    """Every cubical matrix of weight <= m whose smash is one of gammas.
 
-    The lifts _fold places; caps takes 1-based (i, j).  enumerate_Q is
-    the fold's exact-weight slice; expansion.product_terms shares no code
-    with it, so each checks the other.
+    The lifts _fold places, in fold order; caps takes 1-based (i, j).
+    star_product passes L, which words.enumerate_A checks at m = 0.
+    expansion.product_terms shares no code with the fold, so each checks
+    the other.
     """
     return [CubicalMatrix(gamma.a, gamma.b, runs)
-            for _, runs, _ in _fold([gamma], m, caps)]
-
-
-def lift_all(alpha, beta, n, m, caps) -> list[CubicalMatrix]:
-    """Every lift of weight <= m of each matrix of L(alpha, beta, n).
-
-    One enumerate_L call, which checks the margins, and one fold.  L is
-    checked by words.enumerate_A at m = 0, not here: expansion.product_terms
-    reads the same enumerate_L.  In fold order.
-    """
-    return [CubicalMatrix(gamma.a, gamma.b, runs)
-            for gamma, runs, _ in _fold(enumerate_L(alpha, beta, n), m, caps)]
+            for gamma, runs, _ in _fold(gammas, m, caps)]
 
 
 def contributing_support(p, q) -> int:

@@ -17,43 +17,16 @@ from typing import NamedTuple
 
 from .algebra import (
     BTable,
+    ETerm,
     Monomial2,
     ScaledMonomial,
     build_B,
+    canonical_slots,
     full_ints,
     render_monomial,
 )
 from .cubes import CubicalMatrix, contributing_support, lift_all, max_order
 from .tables import enumerate_L
-
-
-def canonical_slots(slots) -> tuple:
-    """Sort (multiplicity, monomial) slots; equal monomials stay separate.
-
-    The order is total degree, then x, then y, then multiplicity, sorted
-    as plain tuples with no key function.
-    """
-    keyed = sorted([(mono.x + mono.y, mono, mult) for mult, mono in slots])
-    return tuple([(mult, mono) for _, mono, mult in keyed])
-
-
-class ETerm(NamedTuple):
-    """scalar * e_(multiplicities)(monomials) * h^hbar.
-
-    slots holds ordered (multiplicity, Monomial2) pairs.  A term keeps no
-    matrix: pair each capped matrix with its term through the lift route,
-    (gamma_to_eterm(g, btable), g) for g in lift_all(...).
-    """
-
-    hbar: int
-    scalar: int
-    slots: tuple
-
-    def multiplicities(self) -> tuple:
-        return tuple(mult for mult, _ in self.slots)
-
-    def arguments(self) -> tuple:
-        return tuple(mono for _, mono in self.slots)
 
 
 class StarExpansion(NamedTuple):
@@ -99,19 +72,20 @@ def gamma_to_eterm(gamma: CubicalMatrix, btable: BTable):
     return ETerm(hbar, scalar, canonical_slots(slots))
 
 
-def product_terms(alpha, beta, n, btable: BTable):
-    """The terms of every capped cubical matrix over L, cell by cell.
+def product_terms(gammas, btable: BTable):
+    """The terms of every capped cubical matrix over gammas, cell by cell.
 
-    For each gamma of enumerate_L, the matrices that smash onto it with
-    cell (i, j) on levels 0..K_ij are the Cartesian product, over the
-    interior cells of gamma.cells(), of the multisets of gamma_ij levels.
-    Each (i, j, units) table is built once per call: per multiset, in
-    combinations_with_replacement order, its weight, its scalar (the
-    product of coeff ** v) and its (degree, monomial, v, (v, monomial))
-    slot triples.  The boundary cells of gamma.cells() give, at level 0,
-    triples fixed per gamma, with coefficients 1, so a term is a sum of
-    weights, a product of scalars and one sort of the joined triples, the
-    order of canonical_slots, whose last fields are its slots.
+    star_product passes L.  For each gamma, the matrices that smash onto
+    it with cell (i, j) on levels 0..K_ij are the Cartesian product, over
+    the interior cells of gamma.cells(), of the multisets of gamma_ij
+    levels.  Each (i, j, units) table is built once per call: per
+    multiset, in combinations_with_replacement order, its weight, its
+    scalar (the product of coeff ** v) and its (degree, monomial, v,
+    (v, monomial)) slot triples.  The boundary cells of gamma.cells()
+    give, at level 0, triples fixed per gamma, with coefficients 1, so a
+    term is a sum of weights, a product of scalars and one sort of the
+    joined triples, the order of canonical_slots, whose last fields are
+    its slots.
     """
     entries = btable.entries
     last = itemgetter(-1)
@@ -131,7 +105,7 @@ def product_terms(alpha, beta, n, btable: BTable):
             out.append((sum(combo), scalar, [triple(*r) for r in runs]))
         return out
 
-    for gamma in enumerate_L(alpha, beta, n):
+    for gamma in gammas:
         cells = gamma.cells()
         fixed = [triple(0, i, j, v) for i, j, v in cells if not (i and j)]
         pieces = [table(i, j, units) for i, j, units in cells if i and j]
@@ -150,21 +124,21 @@ def product_terms(alpha, beta, n, btable: BTable):
 def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion:
     """Full star product of e_alpha(p) and e_beta(q), truncated at S and M.
 
-    Both paths take L from enumerate_L and cap cell (i, j) at K_ij, so
-    every matrix they build contributes: neither yields None, which
-    gamma_to_eterm keeps for a unit above K_ij.  They differ in placing
-    the levels and in assembling the terms.  The enumerate path assembles
-    each term from per-cell pieces (product_terms) with no weight bound: a
-    level is at most K_ij <= S and the interior holds at most min(|alpha|,
-    |beta|) units, so no matrix weighs more than M.  The lift path folds
-    over the cells with lift_all up to M instead and assembles each
-    matrix's term with gamma_to_eterm, the route that pairs a term with
-    its matrix; no term keeps one.  So the paths check each other's level
-    placement and assembly, and words.enumerate_A at m = 0 checks L.
-    Each h slice is sorted by (slots, scalar), which orders unequal
-    terms strictly, so the two paths give equal term lists exactly when
-    they give the same multiset of terms, whatever order they come in,
-    and render alike.
+    L is read once, by enumerate_L, and handed to the path that runs.
+    Both paths cap cell (i, j) at K_ij, so every matrix they build
+    contributes: neither yields None, which gamma_to_eterm keeps for a
+    unit above K_ij.  They differ in placing the levels and in assembling
+    the terms.  The enumerate path assembles each term from per-cell
+    pieces (product_terms) with no weight bound: a level is at most
+    K_ij <= S and the interior holds at most min(|alpha|, |beta|) units,
+    so no matrix weighs more than M.  The lift path folds over the cells
+    with lift_all up to M instead and assembles each matrix's term with
+    gamma_to_eterm, the route that pairs a term with its matrix; no term
+    keeps one.  So the paths check each other's level placement and
+    assembly, and words.enumerate_A at m = 0 checks L.  Each h slice is
+    sorted by (slots, scalar), which orders unequal terms strictly, and
+    no slice is empty, so the two paths give equal by_order dicts exactly
+    when they give the same multiset of terms, and render alike.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -177,19 +151,18 @@ def star_product(alpha, beta, p, q, n, path: str = "enumerate") -> StarExpansion
     btable = build_B(p, q)
     s_bound = contributing_support(p, q)
     m_bound = max_order(alpha, beta, n, s_bound)
+    classical = enumerate_L(alpha, beta, n)
     if path == "enumerate":
-        terms = product_terms(alpha, beta, n, btable)
+        terms = product_terms(classical, btable)
     else:
         terms = (gamma_to_eterm(gamma, btable) for gamma in
-                 lift_all(alpha, beta, n, m_bound, btable.k_max))
+                 lift_all(classical, m_bound, btable.k_max))
     by_order = {}
     for term in terms:
         by_order.setdefault(term.hbar, []).append(term)
     for terms in by_order.values():
         terms.sort(key=attrgetter("slots", "scalar"))
-    return StarExpansion(
-        alpha, beta, p, q, n, s_bound, m_bound, by_order
-    )
+    return StarExpansion(alpha, beta, p, q, n, s_bound, m_bound, by_order)
 
 
 def _monomial_text(mono: Monomial2) -> str:

@@ -405,7 +405,7 @@ def verify(alpha, beta, p, q, n) -> VerifyReport:
     Both sides and the classical reference are compared in the orbit basis:
     term_orbits for the star side and the classical product, moyal_orbits
     for the Moyal side.  Neither expands a polynomial; the full NPoly route
-    is their tested reference.  The two engine paths' term lists are equal
+    is their tested reference.  The engine paths' by_order dicts are equal
     exactly when their terms are, since star_product sorts each h slice.
     """
     alpha = tuple(alpha)
@@ -414,9 +414,8 @@ def verify(alpha, beta, p, q, n) -> VerifyReport:
     q = tuple(q)
     details = []
     exp_enum = star_product(alpha, beta, p, q, n, path="enumerate")
-    exp_lift = star_product(alpha, beta, p, q, n, path="lift")
-    paths_ok = list(exp_enum.terms()) == list(exp_lift.terms())
-    del exp_lift  # read by nothing below, so its terms are freed here
+    paths_ok = exp_enum.by_order == star_product(
+        alpha, beta, p, q, n, path="lift").by_order  # freed once compared
     if not paths_ok:
         details.append("enumerate and lift paths produced different terms")
 

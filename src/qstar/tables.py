@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Monomial2
+from .algebra import ETerm, Monomial2, canonical_slots
 
 
 class MarginMatrix(NamedTuple):
@@ -118,13 +118,11 @@ def enumerate_L(alpha, beta, n) -> list[MarginMatrix]:
 def classical_product(alpha, p, beta, q, n):
     """Classical product of e_alpha(p) and e_beta(q) as h^0 terms.
 
-    One term per gamma in L(alpha, beta, n), read off gamma.cells(): cell
-    (i, j) with v units is the slot (v, p_i * q_j), where p_0 = q_0 = 1,
-    so column 0 gives p_i, row 0 gives q_j and the interior the pairwise
-    commutative products.
+    One algebra.ETerm per gamma in L(alpha, beta, n), read off
+    gamma.cells(): cell (i, j) with v units is the slot (v, p_i * q_j),
+    where p_0 = q_0 = 1, so column 0 gives p_i, row 0 gives q_j and the
+    interior the pairwise commutative products.
     """
-    from .expansion import ETerm, canonical_slots
-
     alpha, beta = tuple(alpha), tuple(beta)
     P = (Monomial2(), *p)
     Q = (Monomial2(), *q)

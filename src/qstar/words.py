@@ -18,13 +18,10 @@ from .tables import _check_margins, depth_first
 class ThreeWord(NamedTuple):
     columns: tuple  # tuple of (s, i, j) triples
 
-    def row(self, c: int) -> tuple:
-        return tuple(col[c - 1] for col in self.columns)
-
 
 def row_type(omega: ThreeWord, c: int) -> tuple:
     """Occurrence counts (u_1..u_k) of values 1..k in row c."""
-    values = omega.row(c)
+    values = [col[c - 1] for col in omega.columns]
     k = max(values, default=0)
     if k == 0:
         return ()
@@ -140,7 +137,7 @@ def enumerate_A(alpha, beta, n, m) -> list[ThreeWord]:
     Independent of the matrix enumerators, so that it can cross-check
     them: runs over candidate column values in lex order with residual
     type and weight budgets and calls neither tables.enumerate_L nor a
-    walk over it (the fold behind cubes.lift and cubes.enumerate_Q, or
+    walk over it (the fold behind cubes.lift_all and cubes.enumerate_Q, or
     the enumerate route's per-cell pieces in expansion.product_terms);
     it checks Q(m), and at m = 0 enumerate_L.  The walk runs under
     tables.depth_first, each node yielding its children's five carried

@@ -8,6 +8,7 @@ import qstar.oracle
 from qstar.algebra import Monomial2, build_B
 from qstar.cubes import CubicalMatrix, contributing_support, lift_all, max_order
 from qstar.expansion import gamma_to_eterm
+from qstar.tables import enumerate_L
 from qstar.words import ThreeWord, _cell_condition, row_type, validate_word
 
 # Multi-indices with up to two entries, each at most 2.
@@ -61,7 +62,8 @@ def lift_pairs(alpha, beta, p, q, n):
     btable = build_B(p, q)
     m_bound = max_order(alpha, beta, n, contributing_support(p, q))
     return [(gamma_to_eterm(g, btable), g)
-            for g in lift_all(alpha, beta, n, m_bound, btable.k_max)]
+            for g in lift_all(enumerate_L(alpha, beta, n), m_bound,
+                             btable.k_max)]
 
 
 def exact_lifts(alpha, beta, n, m, caps=None):
@@ -71,7 +73,8 @@ def exact_lifts(alpha, beta, n, m, caps=None):
     """
     caps = caps or (lambda i, j: m)
     return sorted(
-        g for g in lift_all(alpha, beta, n, m, caps) if g.weight() == m
+        g for g in lift_all(enumerate_L(alpha, beta, n), m, caps)
+        if g.weight() == m
     )
 
 

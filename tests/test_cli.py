@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import io
@@ -430,6 +431,26 @@ class TestWord:
             f"error: bad word column {column!r}: expected (s,i,j);(s,i,j);...\n"
         )
 
+    @pytest.mark.parametrize("action", ["decode", "stats"])
+    @pytest.mark.parametrize("word", ["((0,2,2))", "0,2,2", "(0,2,2"])
+    def test_column_is_one_parenthesised_triple(self, capsys, action, word):
+        # each used to be read as (0,2,2): parentheses were stripped from
+        # the ends, not matched
+        assert run(capsys, "word", action, word) == (2, "", (
+            f"error: bad word column {word!r}: expected (s,i,j);(s,i,j);...\n"
+        ))
+
+    @pytest.mark.parametrize("action,out", [
+        ("decode", ["0,0,0,0,0,0,0,1,1,1,0,0\n", "0,0,0\n"]),
+        ("stats", ["N=3 s=1 m=2 alpha=2,1 beta=1,2\n",
+                   "N=0 s=0 m=0 alpha= beta=\n"]),
+    ])
+    def test_spaces_and_blank_text_are_read(self, capsys, action, out):
+        spaced = " ( 0 , 3 , 3 ) ; (1,2,2) ;(1, 2,3 )"
+        assert run(capsys, "word", action, spaced) == (0, out[0], "")
+        for blank in ("", "  "):
+            assert run(capsys, "word", action, blank) == (0, out[1], "")
+
     @pytest.mark.parametrize("argv, err", [
         (("encode", "0,-1,0", "--shape", "1,1"),
          "error: vector entries must be nonnegative\n"),
@@ -708,6 +729,28 @@ class TestStartup:
             "print(rc, 'qstar.oracle' in sys.modules)"
         )
         assert fresh(code, *argv).splitlines()[-1] == f"0 {loaded}"
+
+
+class TestLayering:
+    ORDER = ["algebra", "tables", "cubes", "words", "expansion", "oracle",
+             "cli"]
+
+    def test_imports_point_down(self):
+        # every relative import in src/qstar, function bodies included,
+        # targets a module earlier in ORDER, which names every module
+        modules = {path.stem for path in SRC.glob("qstar/*.py")}
+        assert modules == {"__init__", *self.ORDER}
+        upward = []
+        for rank, name in enumerate(self.ORDER):
+            path = SRC / "qstar" / f"{name}.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    targets = ([node.module] if node.module
+                               else [alias.name for alias in node.names])
+                    upward += [f"{name}.py:{node.lineno} imports {target}"
+                               for target in targets
+                               if self.ORDER.index(target) >= rank]
+        assert upward == []
 
 
 class TestParser:

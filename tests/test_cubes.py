@@ -21,7 +21,6 @@ from qstar.cubes import (
     CubicalMatrix,
     enumerate_Q,
     from_vector,
-    lift,
     lift_all,
     max_order,
     to_vector,
@@ -178,7 +177,7 @@ class TestSupportLevel:
         # a cap of s bounds every level, and the lifts reach each level <= s
         gamma = MarginMatrix(((0, 0, 0), (0, 0, 2), (0, 1, 0)))
         for s in (1, 2):
-            lifted = lift(gamma, 4, lambda i, j: s)
+            lifted = lift_all([gamma], 4, lambda i, j: s)
             assert {g.support_level() for g in lifted} == set(range(s + 1))
 
 
@@ -202,7 +201,8 @@ class TestSmash:
 class TestLift:
     def test_lift_example(self):
         gamma = MarginMatrix(((0, 0, 0), (0, 0, 2), (0, 1, 0)))
-        lifted = [g for g in lift(gamma, 1, lambda i, j: 1) if g.weight() == 1]
+        lifted = [g for g in lift_all([gamma], 1, lambda i, j: 1)
+                  if g.weight() == 1]
         expected = {
             mk(
                 [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
@@ -217,19 +217,19 @@ class TestLift:
 
     def test_identity_embedding(self):
         gamma = MarginMatrix(((0, 1, 0), (0, 1, 0), (0, 0, 1)))
-        assert lift(gamma, 0, lambda i, j: 0) == [from_margin(gamma)]
+        assert lift_all([gamma], 0, lambda i, j: 0) == [from_margin(gamma)]
 
     def test_nothing_to_raise(self):
         # an all-zero interior has no weight-1 lift, only its embedding
         gamma = MarginMatrix(((0, 1, 1), (1, 0, 0), (1, 0, 0)))
-        assert lift(gamma, 1, lambda i, j: 1) == [from_margin(gamma)]
+        assert lift_all([gamma], 1, lambda i, j: 1) == [from_margin(gamma)]
 
     @pytest.mark.parametrize("rows", [((0, 0), (0, 1)), ((0, 1), (1, 0))])
     def test_negative_m(self, rows):
         # with an interior unit to place and with none, whose level-0
         # embedding would have weight 0 > m
         with pytest.raises(ValueError, match="m must be nonnegative"):
-            lift(MarginMatrix(rows), -1, lambda i, j: 1)
+            lift_all([MarginMatrix(rows)], -1, lambda i, j: 1)
 
     def test_caps_filter_the_uncapped_lift(self):
         tops = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 3}
@@ -245,8 +245,8 @@ class TestLift:
 
         for gamma in enumerate_L((1, 2), (2, 1), 4):
             for m in range(6):
-                uncapped = lift(gamma, m, lambda i, j: m)
-                assert lift(gamma, m, caps) == capped(uncapped)
+                uncapped = lift_all([gamma], m, lambda i, j: m)
+                assert lift_all([gamma], m, caps) == capped(uncapped)
         for m in range(6):
             assert exact_lifts((2, 2), (1, 2), 4, m, caps) == sorted(capped(
                 enumerate_Q((2, 2), (1, 2), 4, m)
@@ -256,7 +256,7 @@ class TestLift:
         for gamma in enumerate_L((1, 2), (2, 1), 4):
             for top in range(3):
                 for m in range(4):
-                    lifted = lift(gamma, m, lambda i, j: top)
+                    lifted = lift_all([gamma], m, lambda i, j: top)
                     assert len(set(lifted)) == len(lifted)
                     for g in lifted:
                         assert g.smash() == gamma
@@ -265,9 +265,9 @@ class TestLift:
         # one 3-unit cell, so the weight left cuts its level multisets
         gamma = MarginMatrix(((0, 1), (2, 3)))
         for top in range(4):
-            full = sorted(lift(gamma, 3 * top, lambda i, j: top))
+            full = sorted(lift_all([gamma], 3 * top, lambda i, j: top))
             for m in range(5):
-                assert sorted(lift(gamma, m, lambda i, j: top)) == [
+                assert sorted(lift_all([gamma], m, lambda i, j: top)) == [
                     g for g in full if g.weight() <= m
                 ]
 
@@ -278,16 +278,16 @@ class TestLift:
         for i in range(1, 1001):
             rows[i][i] = 1
         gamma = MarginMatrix(tuple(map(tuple, rows)))
-        assert lift(gamma, 0, lambda i, j: 0) == [from_margin(gamma)]
+        assert lift_all([gamma], 0, lambda i, j: 0) == [from_margin(gamma)]
 
 
 class TestLevelSplits:
-    """How lift spreads one cell's units over its levels."""
+    """How lift_all spreads one cell's units over its levels."""
 
     def test_deep_single_cell(self):
         # one level per recursion used to exhaust the stack near 1000
         gamma = MarginMatrix(((0, 0), (0, 1)))
-        lifted = lift(gamma, 1200, lambda i, j: 1200)
+        lifted = lift_all([gamma], 1200, lambda i, j: 1200)
         assert len(lifted) == 1201
         assert [g for g in lifted if g.weight() == 1200] == [
             CubicalMatrix(1, 1, ((1200, 1, 1, 1),))
@@ -301,13 +301,13 @@ class TestLiftAll:
         )
 
     def test_m0_is_level0_embedding(self):
-        got = lift_all((1, 1), (2, 1), 4, 0, lambda i, j: 0)
+        got = lift_all(enumerate_L((1, 1), (2, 1), 4), 0, lambda i, j: 0)
         expected = [from_margin(g) for g in enumerate_L((1, 1), (2, 1), 4)]
         assert sorted(got) == sorted(expected)
 
     def test_negative_m(self):
         with pytest.raises(ValueError, match="m must be nonnegative"):
-            lift_all((1,), (1,), 1, -1, lambda i, j: 1)
+            lift_all(enumerate_L((1,), (1,), 1), -1, lambda i, j: 1)
 
     def test_single_cell_high_level(self):
         got = exact_lifts((1,), (1,), 1, 3)
@@ -333,7 +333,7 @@ class TestLiftAll:
                            if i and j)
                 ]
                 assert sorted(
-                    lift_all(alpha, beta, n, budget, cap)
+                    lift_all(enumerate_L(alpha, beta, n), budget, cap)
                 ) == sorted(union), (alpha, beta, n, budget)
 
 

@@ -7,7 +7,6 @@ from math import prod
 
 import pytest
 
-import qstar.cubes
 import qstar.expansion
 from conftest import (
     WORKED,
@@ -25,16 +24,23 @@ from qstar.algebra import (
     render_monomial,
 )
 from qstar.cli import main
-from qstar.cubes import CubicalMatrix, enumerate_Q
+from qstar.cubes import (
+    CubicalMatrix,
+    contributing_support,
+    enumerate_Q,
+    lift_all,
+    max_order,
+)
 from qstar.expansion import (
     ETerm,
     canonical_slots,
     gamma_to_eterm,
+    product_terms,
     render,
     star_product,
 )
 from qstar.oracle import term_orbits
-from qstar.tables import classical_product
+from qstar.tables import classical_product, enumerate_L
 
 X = Monomial2(1, 0)
 Y = Monomial2(0, 1)
@@ -165,13 +171,13 @@ class TestStarProduct:
     def test_lift_path_enumerates_L_once(self, monkeypatch):
         # one lift_all call up to M, where each m used to enumerate L anew
         calls = []
-        original = qstar.cubes.enumerate_L
+        original = qstar.expansion.enumerate_L
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(qstar.cubes, "enumerate_L", counted)
+        monkeypatch.setattr(qstar.expansion, "enumerate_L", counted)
         exp = star_product(*WORKED, path="lift")
         assert exp.m_bound == 2
         assert calls == [((1, 1), (2, 1), 4)]
@@ -228,6 +234,18 @@ class TestStarProduct:
                 assert gamma.weight() == term.hbar, spec
             assert Counter(star_product(*spec).terms()) == Counter(
                 term for term, _ in pairs), spec
+
+    def test_routes_agree_per_matrix(self):
+        # each matrix of L on its own: its per-cell pieces give the terms
+        # that gamma_to_eterm reads off its capped lifts
+        for alpha, beta, p, q, n in chain(oracle_grid(), wide_margin_grid()):
+            btable = build_B(p, q)
+            m_bound = max_order(alpha, beta, n, contributing_support(p, q))
+            for gamma in enumerate_L(alpha, beta, n):
+                lifted = [gamma_to_eterm(g, btable) for g in
+                          lift_all([gamma], m_bound, btable.k_max)]
+                assert sorted(product_terms([gamma], btable)) == sorted(
+                    lifted), (alpha, beta, p, q, n, gamma)
 
     def test_classical_slice(self):
         alpha, beta, p, q, n = WORKED
